@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Union
 
 from ..errors import ProtocolError, ReplayError
 from ..sim import Signal, Simulator
@@ -162,12 +162,12 @@ class FrameEndpoint:
             seq = self._next_tx_seq
             self._next_tx_seq = next_seq(seq)
             frame = self._build_frame(seq, fields)
-            self.tx_link.send(frame.pack())
-            # Hold the frame OBJECT (not its packed bytes): retransmissions
-            # re-pack with the ACK field refreshed.  Stamp the hold with the
-            # time the frame finishes serializing — under a transmit backlog
-            # that is later than now, and the ACK timer must not start
-            # before the frame even leaves.
+            self.tx_link.send(frame)
+            # Hold the frame object: retransmissions send copies with the
+            # ACK field refreshed.  Stamp the hold with the time the frame
+            # finishes serializing — under a transmit backlog that is later
+            # than now, and the ACK timer must not start before the frame
+            # even leaves.
             self._replay.hold(seq, frame, self.tx_link.next_free_ps)
             self._last_tx_frame = frame
         self._schedule_ack_check()
@@ -245,16 +245,17 @@ class FrameEndpoint:
                     trace.count("dmi.freeze_frames")
         self.sim.call_after(prep, self._do_replay)
 
-    def _repack(self, frame: Frame) -> bytes:
-        """Serialize with the ACK field refreshed to the current state.
+    def _repack(self, frame: Frame) -> Frame:
+        """A copy of ``frame`` with the ACK field refreshed to the current state.
 
-        Re-sending a frame with the ACK it was *originally* packed with is
+        Re-sending a frame with the ACK it was *originally* sent with is
         dangerous: after the 6-bit sequence space wraps, that stale value
         can alias into the peer's live transmit window and cumulatively
-        retire frames the peer never actually delivered to us.
+        retire frames the peer never actually delivered to us.  The held
+        frame itself stays untouched: on a clean link the peer received
+        that very object.
         """
-        frame.ack_seq = self._last_accepted
-        return frame.pack()
+        return frame.with_ack(self._last_accepted)
 
     def _do_replay(self) -> None:
         if self.failed:
@@ -309,44 +310,53 @@ class FrameEndpoint:
 
     # -- receive ------------------------------------------------------------
 
-    def deliver(self, raw: bytes) -> None:
+    def deliver(self, rx: Union[Frame, bytes]) -> None:
         """Link receiver callback (wired via :meth:`SerialLink.connect`)."""
-        self.sim.call_after(self.config.rx_overhead_ps, self._process_rx, raw)
+        self.sim.call_after(self.config.rx_overhead_ps, self._process_rx, rx)
 
     def send_training_signature(self, signature: int) -> None:
         """Transmit an FRTL-measurement signature (training only)."""
-        self.tx_link.send(TrainingFrame(signature).pack())
+        self.tx_link.send(TrainingFrame(signature))
 
-    def _handle_training(self, raw: bytes) -> None:
-        try:
-            frame = TrainingFrame.unpack(raw)
-        except ProtocolError:
-            self.crc_drops += 1
-            return
+    def _handle_training(self, frame: TrainingFrame) -> None:
         if self.training_echo and not frame.echoed:
             # Mirror the signature back after our internal pipeline delay —
             # this is what makes the measured FRTL include the buffer logic.
             self.sim.call_after(
                 self.config.tx_overhead_ps,
-                lambda: self.tx_link.send(TrainingFrame(frame.signature, echoed=True).pack()),
+                lambda: self.tx_link.send(TrainingFrame(frame.signature, echoed=True)),
             )
         elif self.on_training is not None:
             self.on_training(frame)
 
-    def _process_rx(self, raw: bytes) -> None:
-        if self.failed:
-            return
-        if raw and raw[0] == TrainingFrame.KIND:
-            self._handle_training(raw)
-            return
+    def _unpack(self, raw: bytes) -> Optional[Frame]:
+        """CRC-check and decode bytes from a link that could corrupt them.
+
+        Returns ``None`` (and counts a CRC drop) for a frame that fails.
+        """
+        is_training = raw[0] == TrainingFrame.KIND
         try:
-            frame = self.frame_in_cls.unpack(raw)
+            return (TrainingFrame if is_training else self.frame_in_cls).unpack(raw)
         except ProtocolError:
             self.crc_drops += 1
             trace = probe.session
-            if trace is not None:
+            if trace is not None and not is_training:
                 trace.instant("dmi", f"crc_drop:{self.name}", self.sim.now_ps)
                 trace.count("dmi.crc_drops")
+            return None
+
+    def _process_rx(self, rx: Union[Frame, bytes]) -> None:
+        if self.failed:
+            return
+        if type(rx) is bytes:
+            # byte path: the link had an error model armed
+            frame = self._unpack(rx)
+            if frame is None:
+                return
+        else:
+            frame = rx  # object path: the sent frame itself, intact
+        if type(frame) is TrainingFrame:
+            self._handle_training(frame)
             return
         # 1) the ACK piggybacked on this frame retires our transmitted frames
         if frame.ack_seq is not None:
@@ -422,7 +432,7 @@ class FrameEndpoint:
             seq = (oldest[0] - 1) % SEQ_MOD
         else:
             seq = (self._next_tx_seq - 1) % SEQ_MOD
-        self.tx_link.send(self._frame_out_cls(seq, self._last_accepted).pack())
+        self.tx_link.send(self._frame_out_cls(seq, self._last_accepted))
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,19 @@ The logical packed encoding used for CRC/scrambling/error-injection is a few
 bytes larger than the physical frame (we keep field encodings byte-aligned
 for auditability); the *timing* model always uses the physical wire size.
 
-Every frame crossing the wire is packed once and unpacked once, so the
-classes here sit on the simulator's hot path: they use ``__slots__``, pack
-through a single ``b"".join``, and unpack by index instead of peeling
-slices (see ``docs/kernel.md``).
+Frames are immutable once built.  On a link with no error model armed the
+receiver gets the very object the sender holds in its replay buffer (see
+``docs/kernel.md``), so nothing may change a frame after construction: a
+retransmission with a refreshed ACK is a copy (:meth:`Frame.with_ack`).
+Everything ``pack()`` would reject is rejected at construction instead,
+so a frame that never gets packed is still a valid one.  The classes use
+``__slots__``; on the byte path they pack through a single ``b"".join``
+and unpack by index instead of peeling slices.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from .commands import Opcode
@@ -50,20 +54,35 @@ UP_DATA_CHUNK = 32         # read-data bytes per upstream frame
 _OPCODE_CODES = {op: i for i, op in enumerate(Opcode)}
 _CODE_OPCODES = {i: op for op, i in _OPCODE_CODES.items()}
 
+#: constructors set fields through this; ``__setattr__`` refuses afterwards
+_set = object.__setattr__
 
-class CommandHeader:
+
+class _Immutable:
+    """Base of the frame classes: fields are set in ``__init__`` only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class CommandHeader(_Immutable):
     """Command portion of a downstream frame."""
 
     __slots__ = ("opcode", "tag", "address")
 
     def __init__(self, opcode: Opcode, tag: int, address: int):
-        self.opcode = opcode
-        self.tag = tag
-        self.address = address
+        if not 0 <= address < (1 << 48):
+            raise ProtocolError(f"address {address:#x} exceeds 48-bit space")
+        _set(self, "opcode", opcode)
+        _set(self, "tag", tag)
+        _set(self, "address", address)
 
     def pack(self) -> bytes:
-        if not 0 <= self.address < (1 << 48):
-            raise ProtocolError(f"address {self.address:#x} exceeds 48-bit space")
         return bytes([_OPCODE_CODES[self.opcode], self.tag]) + self.address.to_bytes(6, "big")
 
     @classmethod
@@ -91,19 +110,19 @@ class CommandHeader:
         )
 
 
-class DataChunk:
+class DataChunk(_Immutable):
     """A slice of cache-line data in flight, identified by (tag, offset)."""
 
     __slots__ = ("tag", "offset", "data")
 
     def __init__(self, tag: int, offset: int, data: bytes):
-        self.tag = tag
-        self.offset = offset          # byte offset within the 128B line
-        self.data = data
+        if len(data) > 255:
+            raise ProtocolError("data chunk too large to encode")
+        _set(self, "tag", tag)
+        _set(self, "offset", offset)  # byte offset within the 128B line
+        _set(self, "data", data)
 
     def pack(self) -> bytes:
-        if len(self.data) > 255:
-            raise ProtocolError("data chunk too large to encode")
         return bytes([self.tag, self.offset, len(self.data)]) + self.data
 
     @classmethod
@@ -135,13 +154,13 @@ class DataChunk:
         return f"DataChunk(tag={self.tag!r}, offset={self.offset!r}, data={self.data!r})"
 
 
-class DoneNotice:
+class DoneNotice(_Immutable):
     """Command-completion notification carried upstream."""
 
     __slots__ = ("tag",)
 
     def __init__(self, tag: int):
-        self.tag = tag
+        _set(self, "tag", tag)
 
     def pack(self) -> bytes:
         return bytes([self.tag])
@@ -155,7 +174,7 @@ class DoneNotice:
         return f"DoneNotice(tag={self.tag!r})"
 
 
-class Frame:
+class Frame(_Immutable):
     """Common behaviour of downstream and upstream frames."""
 
     __slots__ = ("seq_id", "ack_seq")
@@ -168,14 +187,18 @@ class Frame:
             raise ProtocolError(f"sequence ID {seq_id} outside 6-bit space")
         if ack_seq is not None and not 0 <= ack_seq < SEQ_MOD:
             raise ProtocolError(f"ACK sequence {ack_seq} outside 6-bit space")
-        self.seq_id = seq_id
-        self.ack_seq = ack_seq
-
-    def _pack_header(self, kind: int) -> bytes:
-        ack = NO_ACK if self.ack_seq is None else self.ack_seq
-        return bytes([kind, self.seq_id, ack])
+        _set(self, "seq_id", seq_id)
+        _set(self, "ack_seq", ack_seq)
 
     def pack(self) -> bytes:
+        raise NotImplementedError
+
+    def packed_len(self) -> int:
+        """``len(self.pack())``, computed from the fields without packing."""
+        raise NotImplementedError
+
+    def with_ack(self, ack_seq: Optional[int]) -> "Frame":
+        """A copy of this frame carrying ``ack_seq`` as its piggybacked ACK."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -217,12 +240,21 @@ class DownstreamFrame(Frame):
             raise ProtocolError(
                 f"downstream chunk of {len(chunk.data)}B exceeds {DOWN_DATA_CHUNK}B"
             )
-        self.command = command
-        self.chunk = chunk
+        _set(self, "command", command)
+        _set(self, "chunk", chunk)
 
     @property
     def is_idle(self) -> bool:
         return self.command is None and self.chunk is None
+
+    def packed_len(self) -> int:
+        # kind/seq/ack/flags + [command] + [chunk header + data] + CRC
+        n = 6 if self.command is None else 14
+        chunk = self.chunk
+        return n if chunk is None else n + 3 + len(chunk.data)
+
+    def with_ack(self, ack_seq: Optional[int]) -> "DownstreamFrame":
+        return DownstreamFrame(self.seq_id, ack_seq, self.command, self.chunk)
 
     def pack(self) -> bytes:
         command, chunk = self.command, self.chunk
@@ -266,22 +298,32 @@ class UpstreamFrame(Frame):
         self,
         seq_id: int,
         ack_seq: Optional[int] = None,
-        dones: Optional[List[DoneNotice]] = None,
+        dones: Optional[Sequence[DoneNotice]] = None,
         chunk: Optional[DataChunk] = None,
     ):
         super().__init__(seq_id, ack_seq)
-        self.dones = list(dones or [])
-        if len(self.dones) > 2:
+        dones = tuple(dones) if dones else ()
+        if len(dones) > 2:
             raise ProtocolError("an upstream frame carries at most two dones")
         if chunk is not None and len(chunk.data) > UP_DATA_CHUNK:
             raise ProtocolError(
                 f"upstream chunk of {len(chunk.data)}B exceeds {UP_DATA_CHUNK}B"
             )
-        self.chunk = chunk
+        _set(self, "dones", dones)
+        _set(self, "chunk", chunk)
 
     @property
     def is_idle(self) -> bool:
         return not self.dones and self.chunk is None
+
+    def packed_len(self) -> int:
+        # kind/seq/ack/n_dones + dones + has_chunk + [chunk header + data] + CRC
+        n = 7 + len(self.dones)
+        chunk = self.chunk
+        return n if chunk is None else n + 3 + len(chunk.data)
+
+    def with_ack(self, ack_seq: Optional[int]) -> "UpstreamFrame":
+        return UpstreamFrame(self.seq_id, ack_seq, self.dones, self.chunk)
 
     def pack(self) -> bytes:
         dones, chunk = self.dones, self.chunk
@@ -300,7 +342,7 @@ class UpstreamFrame(Frame):
         n_dones = raw[3]
         if len(raw) < 4 + n_dones + 1:
             raise ProtocolError("truncated upstream frame")
-        dones = [DoneNotice(raw[4 + i]) for i in range(n_dones)]
+        dones = tuple(DoneNotice(raw[4 + i]) for i in range(n_dones))
         pos = 4 + n_dones
         has_chunk = raw[pos]
         pos += 1
@@ -331,8 +373,11 @@ class TrainingFrame(Frame):
         super().__init__(seq_id=0, ack_seq=None)
         if not 0 <= signature < (1 << 16):
             raise ProtocolError(f"training signature {signature} exceeds 16 bits")
-        self.signature = signature
-        self.echoed = echoed
+        _set(self, "signature", signature)
+        _set(self, "echoed", echoed)
+
+    def packed_len(self) -> int:
+        return 8  # kind/seq/ack/echoed + 16-bit signature + CRC
 
     def pack(self) -> bytes:
         body = bytes([self.KIND, 0, NO_ACK, 1 if self.echoed else 0])
@@ -347,11 +392,6 @@ class TrainingFrame(Frame):
         if len(raw) != 6 or raw[0] != cls.KIND:
             raise ProtocolError("not a training frame")
         return cls(int.from_bytes(raw[4:6], "big"), echoed=bool(raw[3]))
-
-
-def frame_kind(framed: bytes) -> Optional[int]:
-    """Peek the kind byte of a packed frame (``None`` if too short)."""
-    return framed[0] if framed else None
 
 
 def next_seq(seq: int) -> int:

@@ -15,20 +15,23 @@ downstream, 21 upstream).  It models:
   per-frame probability, which surfaces at the receiver as CRC failures and
   exercises the replay machinery.
 
-The link delivers raw packed bytes; framing and protocol live in
-:mod:`repro.dmi.channel`.
+The link carries :class:`~repro.dmi.frames.Frame` objects.  While no
+error model is armed it hands the receiver the sent object itself: the
+wire round trip is provably the identity, so it is not computed.  Only
+while corruption can occur does it pack, scramble, corrupt and
+descramble, and deliver the received bytes for the endpoint to CRC-check
+and unpack.  Framing and protocol live in :mod:`repro.dmi.channel`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Callable, Optional, Union
 
 from ..errors import ConfigurationError
 from ..sim import ClockDomain, Rng, Simulator
 from ..telemetry import probe
-from .frames import FRAME_UI
+from .frames import FRAME_UI, Frame
 from .scrambler import BundleScrambler
 
 
@@ -102,13 +105,14 @@ class SerialLink:
         # Delivery is ordered and lossless (corruption flips bits, it never
         # drops frames), so the receive descrambler stays in lockstep with
         # the transmitter: the keystream the receiver will generate for a
-        # frame is exactly the keystream it was scrambled with.  The link
-        # therefore carries each in-flight frame's keystream in a FIFO and
-        # descrambles with one big-int XOR instead of running the receive
-        # LFSRs a second time.  The one case where lockstep breaks — a
-        # resync with frames still in flight — switches the receiver to a
-        # live LFSR (see resync()), reproducing the real desync garbage.
-        self._key_fifo: Deque[int] = deque()
+        # frame is exactly the keystream it was scrambled with.  Each
+        # scrambled frame's keystream therefore rides along as an argument
+        # of its arrival event, and the receiver descrambles with one
+        # big-int XOR instead of running the receive LFSRs a second time.
+        # The one case where lockstep breaks — a resync with frames still in
+        # flight — switches the receiver to a live LFSR (see resync()),
+        # reproducing the real desync garbage.
+        self._in_flight = 0
         self._rx_live = False
         # ClockDomain periods are fixed at construction, so the per-frame
         # wire time is a constant — cached because the send path and the
@@ -117,7 +121,7 @@ class SerialLink:
         self._next_free_ps = 0
         #: span label, formatted once — send() traces every frame
         self._trace_label = f"frame:{name}"
-        self._deliver: Optional[Callable[[bytes], None]] = None
+        self._deliver: Optional[Callable[[Union[Frame, bytes]], None]] = None
         # Stats
         self.frames_sent = 0
         self.frames_corrupted = 0
@@ -125,8 +129,12 @@ class SerialLink:
 
     # -- wiring ------------------------------------------------------------
 
-    def connect(self, deliver: Callable[[bytes], None]) -> None:
-        """Attach the receiver callback; called once during channel assembly."""
+    def connect(self, deliver: Callable[[Union[Frame, bytes]], None]) -> None:
+        """Attach the receiver callback; called once during channel assembly.
+
+        ``deliver`` receives the sent :class:`Frame` itself on a clean link,
+        and the received (descrambled, possibly corrupted) bytes otherwise.
+        """
         if self._deliver is not None:
             raise ConfigurationError(f"link {self.name!r} already connected")
         self._deliver = deliver
@@ -153,20 +161,19 @@ class SerialLink:
         """Reset scrambler state on both ends (start of link training)."""
         self._tx_scrambler.resync()
         self._rx_scrambler.resync()
-        if self._key_fifo:
+        if self._in_flight:
             # Frames are in flight across the resync: the freshly reset
             # receive scrambler is no longer in lockstep with the keystream
             # those frames were scrambled with.  From here on run the
             # receive descrambler as a live state machine so the in-flight
             # frames garble exactly as they would on real hardware (and the
             # link stays desynced until the next clean resync).
-            self._key_fifo.clear()
             self._rx_live = True
 
     # -- transfer ------------------------------------------------------------
 
-    def send(self, packed: bytes) -> int:
-        """Transmit one packed frame; returns its delivery timestamp (ps).
+    def send(self, frame: Frame) -> int:
+        """Transmit one frame; returns its delivery timestamp (ps).
 
         Frames serialize back to back: a send issued while the wire is busy
         queues behind the in-flight frame (the protocol layer paces itself,
@@ -185,22 +192,20 @@ class SerialLink:
             and em.frame_error_rate == 0.0
             and not self._rx_live
         ):
-            # Clean frame: corruption is additive, so scramble-then-
-            # descramble cancels exactly and the keystream bytes are never
-            # observed — advance the lane LFSRs (state must stay real for
-            # any later resync or fault injection) but skip materializing
-            # and XORing the keystream twice.  Key 0 keeps the FIFO aligned
-            # and makes _arrive's XOR a no-op.
-            self._tx_scrambler.skip_frame(len(packed))
-            wire = packed
-            self._key_fifo.append(0)
+            # Clean frame: nothing can corrupt it, so pack -> scramble ->
+            # CRC -> descramble -> CRC check -> unpack returns the frame
+            # that went in.  Deliver the object itself; only advance the
+            # lane LFSRs (state must stay real for any later resync or
+            # fault injection), lazily, by the frame's packed length.
+            self._tx_scrambler.skip_frame(frame.packed_len())
+            sent, wire, key = frame, None, 0
         else:
+            sent = packed = frame.pack()
             n = len(packed)
             key = int.from_bytes(self._tx_scrambler.keystream_frame(n), "little")
             wire = (int.from_bytes(packed, "little") ^ key).to_bytes(n, "little")
             wire = em.corrupt(wire, self.rng)
-            if not self._rx_live:
-                self._key_fifo.append(key)
+        self._in_flight += 1
         arrival = start + wire_ps + self.latency_ps
         self.frames_sent += 1
         trace = probe.session
@@ -208,26 +213,36 @@ class SerialLink:
             # serialization start through delivery: the whole wire transit
             trace.complete("dmi", self._trace_label, start, arrival)
             trace.count("dmi.frames_sent")
-        self.sim.call_at(arrival, self._arrive, wire, packed)
+        self.sim.call_at(arrival, self._arrive, sent, wire, key)
         return arrival
 
-    def _arrive(self, wire: bytes, original: bytes) -> None:
+    def _arrive(self, sent: Union[Frame, bytes], wire: Optional[bytes], key: int) -> None:
+        """Deliver one frame.
+
+        A clean frame arrives as ``(frame, None, 0)``; a scrambled one as
+        ``(packed, wire, key)``: what was sent, the (possibly corrupted)
+        bytes on the wire, and the keystream that scrambled them.
+        """
+        self._in_flight -= 1
+        assert self._deliver is not None
+        if wire is None:
+            if not self._rx_live:
+                self._deliver(sent)
+                return
+            # A clean frame caught in flight by resync(): its keystream
+            # was skipped, so it is on the wire as its plain packed bytes.
+            sent = wire = sent.pack()
         if self._rx_live:
             received = self._rx_scrambler.process(wire)
         else:
-            key = self._key_fifo.popleft()
-            if key:
-                n = len(wire)
-                received = (int.from_bytes(wire, "little") ^ key).to_bytes(n, "little")
-            else:
-                received = wire
-        if received != original:
+            n = len(wire)
+            received = (int.from_bytes(wire, "little") ^ key).to_bytes(n, "little")
+        if received != sent:
             self.frames_corrupted += 1
             trace = probe.session
             if trace is not None:
                 trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
                 trace.count("dmi.frames_corrupted")
-        assert self._deliver is not None
         self._deliver(received)
 
     def utilization(self, window_ps: int) -> float:

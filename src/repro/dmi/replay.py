@@ -83,7 +83,7 @@ class ReplayBuffer:
         self.total_acked += retired
         return retired
 
-    def oldest_unacked(self) -> Optional[Tuple[int, bytes, int]]:
+    def oldest_unacked(self) -> Optional[Tuple[int, Any, int]]:
         """The oldest frame still awaiting ACK: (seq, frame, sent_at_ps)."""
         if not self._pending:
             return None

@@ -75,12 +75,12 @@ class TestRepack:
         ep = channel.host_endpoint
         frame = DownstreamFrame(seq_id=5, ack_seq=None)
         ep._last_accepted = 9
-        packed = ep._repack(frame)
-        out = DownstreamFrame.unpack(packed)
-        assert out.ack_seq == 9
+        out = ep._repack(frame)
+        assert (out.seq_id, out.ack_seq) == (5, 9)
         ep._last_accepted = 23
-        out = DownstreamFrame.unpack(ep._repack(frame))
-        assert out.ack_seq == 23
+        assert ep._repack(frame).ack_seq == 23
+        # a copy each time: the original keeps the ACK it was built with
+        assert frame.ack_seq is None
 
     def test_replayed_frames_carry_current_ack(self):
         sim = Simulator()
@@ -92,11 +92,22 @@ class TestRepack:
         ep._last_accepted = 42
         sent = []
         original_send = ep.tx_link.send
-        ep.tx_link.send = lambda raw: (sent.append(raw), original_send(raw))[1]
+        ep.tx_link.send = lambda f: (sent.append(f), original_send(f))[1]
         ep._do_replay()
         assert sent, "replay sent nothing"
-        out = DownstreamFrame.unpack(sent[0])
-        assert out.ack_seq == 42
+        assert sent[0].ack_seq == 42
+        # the frame held for replay is the one the peer may already hold:
+        # it keeps its original ACK
+        _, held, _ = ep._replay.oldest_unacked()
+        assert held is frame and held.ack_seq is None
+
+    def test_frames_are_immutable(self):
+        frame = DownstreamFrame(seq_id=1, ack_seq=2)
+        with pytest.raises(AttributeError):
+            frame.ack_seq = 3
+        with pytest.raises(AttributeError):
+            del frame.seq_id
+        assert frame.ack_seq == 2
 
 
 class TestEndpointStatsExposure:

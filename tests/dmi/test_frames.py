@@ -18,7 +18,6 @@ from repro.dmi.frames import (
     DownstreamFrame,
     TrainingFrame,
     UpstreamFrame,
-    frame_kind,
     next_seq,
     seq_distance,
 )
@@ -176,8 +175,50 @@ class TestTrainingFrame:
         out = TrainingFrame.unpack(TrainingFrame(7, echoed=True).pack())
         assert out.echoed
 
-    def test_frame_kind_dispatch(self):
-        assert frame_kind(TrainingFrame(1).pack()) == TrainingFrame.KIND
-        assert frame_kind(DownstreamFrame(0).pack()) == DownstreamFrame.KIND
-        assert frame_kind(UpstreamFrame(0).pack()) == UpstreamFrame.KIND
-        assert frame_kind(b"") is None
+
+_HEADER = CommandHeader(Opcode.WRITE, 4, 0x8000)
+_DOWN_CHUNK = DataChunk(4, 16, bytes(range(DOWN_DATA_CHUNK)))
+_UP_CHUNK = DataChunk(4, 96, bytes(range(UP_DATA_CHUNK)))
+
+
+class TestPackedLen:
+    """The clean-link object path advances the lane LFSRs by
+    ``packed_len()``; it must equal the length ``pack()`` produces."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            DownstreamFrame(0),
+            DownstreamFrame(1, 2),
+            DownstreamFrame(3, command=_HEADER),
+            DownstreamFrame(4, command=CommandHeader(Opcode.READ, 0, 0)),
+            DownstreamFrame(5, 6, chunk=_DOWN_CHUNK),
+            DownstreamFrame(7, command=_HEADER, chunk=_DOWN_CHUNK),
+            DownstreamFrame(8, chunk=DataChunk(0, 0, b"")),
+            UpstreamFrame(0),
+            UpstreamFrame(1, 2),
+            UpstreamFrame(3, dones=[DoneNotice(1)]),
+            UpstreamFrame(4, dones=[DoneNotice(1), DoneNotice(2)]),
+            UpstreamFrame(5, chunk=_UP_CHUNK),
+            UpstreamFrame(6, 7, dones=[DoneNotice(4)], chunk=_UP_CHUNK),
+            UpstreamFrame(8, dones=[DoneNotice(1), DoneNotice(2)], chunk=_UP_CHUNK),
+            TrainingFrame(0xA503),
+            TrainingFrame(7, echoed=True),
+        ],
+    )
+    def test_every_frame_shape(self, frame):
+        assert frame.packed_len() == len(frame.pack())
+
+    def test_with_ack_copy_keeps_payload(self):
+        frame = UpstreamFrame(9, 1, dones=[DoneNotice(4)], chunk=_UP_CHUNK)
+        out = frame.with_ack(33)
+        assert out is not frame and frame.ack_seq == 1
+        assert (out.seq_id, out.ack_seq) == (9, 33)
+        assert out.pack() == UpstreamFrame(9, 33, [DoneNotice(4)], _UP_CHUNK).pack()
+
+    def test_checks_run_without_packing(self):
+        # the object path never packs, so construction enforces the limits
+        with pytest.raises(ProtocolError):
+            CommandHeader(Opcode.READ, 0, 1 << 48)
+        with pytest.raises(ProtocolError):
+            DataChunk(0, 0, bytes(256))

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.dmi import (
+    BundleScrambler,
+    DataChunk,
+    DownstreamFrame,
     EndpointConfig,
     LinkErrorModel,
     LinkTrainer,
@@ -16,6 +19,11 @@ from repro.units import ns_to_ps
 from .test_channel import make_channel
 
 
+def frame(fill: int, seq: int = 0) -> DownstreamFrame:
+    """A write-data frame whose 16 payload bytes are all ``fill``."""
+    return DownstreamFrame(seq, chunk=DataChunk(0, 0, bytes([fill]) * 16))
+
+
 class TestSerialLink:
     def test_frame_wire_time_at_8ghz(self):
         sim = Simulator()
@@ -27,13 +35,14 @@ class TestSerialLink:
         sim = Simulator()
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
         seen = []
-        link.connect(lambda raw: seen.append((sim.now_ps, raw)))
-        link.send(b"\x01" * 28)
+        link.connect(lambda rx: seen.append((sim.now_ps, rx)))
+        sent = frame(0x01)
+        link.send(sent)
         sim.run()
         assert len(seen) == 1
-        t, raw = seen[0]
+        t, rx = seen[0]
         assert t == link.frame_wire_ps + link.latency_ps
-        assert raw == b"\x01" * 28  # scrambled then descrambled
+        assert rx is sent  # clean link: the object itself crosses the wire
 
     def test_cdr_capture_adds_latency(self):
         sim = Simulator()
@@ -45,9 +54,9 @@ class TestSerialLink:
         sim = Simulator()
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
         seen = []
-        link.connect(lambda raw: seen.append(sim.now_ps))
-        link.send(b"a" * 28)
-        link.send(b"b" * 28)
+        link.connect(lambda rx: seen.append(sim.now_ps))
+        link.send(frame(ord("a")))
+        link.send(frame(ord("b"), seq=1))
         sim.run()
         assert seen[1] - seen[0] == link.frame_wire_ps
 
@@ -60,23 +69,25 @@ class TestSerialLink:
         )
         seen = []
         link.connect(seen.append)
-        link.send(bytes(28))
+        sent = frame(0x00)
+        link.send(sent)
         sim.run()
-        assert seen[0] != bytes(28)
+        assert seen[0] != sent.pack()
+        assert len(seen[0]) == sent.packed_len()
         assert link.frames_corrupted == 1
 
     def test_unconnected_send_raises(self):
         sim = Simulator()
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
         with pytest.raises(ConfigurationError):
-            link.send(b"x")
+            link.send(DownstreamFrame(0))
 
     def test_double_connect_raises(self):
         sim = Simulator()
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
-        link.connect(lambda raw: None)
+        link.connect(lambda rx: None)
         with pytest.raises(ConfigurationError):
-            link.connect(lambda raw: None)
+            link.connect(lambda rx: None)
 
     def test_zero_lanes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -84,8 +95,9 @@ class TestSerialLink:
 
 
 class TestKeystreamCarry:
-    """The link carries each in-flight frame's keystream (lockstep FIFO);
-    these pin the behaviours that must survive that optimization."""
+    """The link carries each scrambled frame's keystream in its arrival
+    event and sends clean frames as objects; these pin the behaviours that
+    must survive both optimizations."""
 
     def test_forced_corruption_detected(self):
         # force_drops exercises the scrambled branch: the corrupted wire
@@ -97,11 +109,13 @@ class TestKeystreamCarry:
         )
         seen = []
         link.connect(seen.append)
-        link.send(bytes(28))
-        link.send(b"\x07" * 28)
+        first, second = frame(0x00), frame(0x07, seq=1)
+        link.send(first)
+        link.send(second)
         sim.run()
-        assert seen[0] == b"\x01" + bytes(27)  # the injected single-bit flip
-        assert seen[1] == b"\x07" * 28         # next frame is clean again
+        packed = first.pack()
+        assert seen[0] == bytes([packed[0] ^ 1]) + packed[1:]  # the injected flip
+        assert seen[1] is second  # next frame is clean again
         assert link.frames_corrupted == 1
 
     def test_resync_with_frames_in_flight_desyncs_receiver(self):
@@ -109,26 +123,35 @@ class TestKeystreamCarry:
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
         seen = []
         link.connect(seen.append)
-        link.send(b"\x55" * 28)
+        first, second = frame(0x55), frame(0xAA, seq=1)
+        link.send(first)
         link.resync()  # before the frame arrives: receiver loses lockstep
-        link.send(b"\xaa" * 28)  # post-resync traffic stays garbled too
+        link.send(second)  # post-resync traffic stays garbled too
         sim.run()
-        assert seen[0] != b"\x55" * 28
-        assert seen[1] != b"\xaa" * 28
+        assert seen[0] != first.pack()
+        assert seen[1] != second.pack()
         assert link.frames_corrupted == 2
+        # Exactly the garbage of real hardware: the in-flight frame left
+        # unscrambled (its keystream was skipped), then met the freshly
+        # reset receive LFSR; the next one was scrambled by the fresh
+        # transmit LFSR but descrambled one frame further on.
+        tx, rx = BundleScrambler(14), BundleScrambler(14)
+        assert seen[0] == rx.process(first.pack())
+        assert seen[1] == rx.process(tx.process(second.pack()))
 
     def test_clean_resync_restores_lockstep(self):
         sim = Simulator()
         link = SerialLink(sim, "l", 14, dmi_link_clock(8.0))
         seen = []
         link.connect(seen.append)
-        link.send(b"\x55" * 28)
+        link.send(frame(0x55))
         link.resync()  # mid-flight: desync
         sim.run()      # drain the garbled frame
         link.resync()  # nothing in flight: both sides restart together
-        link.send(b"\x33" * 28)
+        last = frame(0x33, seq=1)
+        link.send(last)
         sim.run()
-        assert seen[-1] == b"\x33" * 28
+        assert seen[-1] == last.pack()
         assert link.frames_corrupted == 1
 
 

@@ -126,12 +126,7 @@ class BlockAccelerator:
 
     def _start(self) -> None:
         start_ps = self.sim.now_ps
-
-        def run():
-            result = yield from self._kernel(self._cb)
-            return result
-
-        proc = Process(self.sim, run(), name=f"{self.name}.task")
+        proc = Process(self.sim, self._kernel(self._cb), name=f"{self.name}.task")
 
         def finish(result) -> None:
             self._cb.cycles = (self.sim.now_ps - start_ps) // self.access.clock.period_ps
@@ -144,6 +139,7 @@ class BlockAccelerator:
                 self.tasks_failed += 1
 
         proc.done.add_waiter(finish)
+        self._task_done = proc.done
 
     def _kernel(self, cb: ControlBlock):
         raise NotImplementedError
@@ -151,9 +147,11 @@ class BlockAccelerator:
     # -- host-side convenience (issue + poll through any store path) -----------------
 
     def run_to_completion(self, cb: ControlBlock) -> ControlBlock:
-        """Drive a task directly (bypassing the DMI path) and run the sim."""
+        """Drive a task directly (bypassing the DMI path) and run the sim.
+
+        Runs through the guarded :meth:`Simulator.run_until_signal`, so a
+        task that can never finish raises :class:`SimulationError`.
+        """
         self.submit_write(0, cb.pack())
-        while self._cb.status == STATUS_RUNNING:
-            if not self.sim.step():
-                raise AccelError(f"{self.name}: task never completed")
+        self.sim.run_until_signal(self._task_done)
         return self._cb

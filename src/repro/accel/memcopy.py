@@ -10,6 +10,7 @@ processor (which pays the DMI round trip both ways).
 
 from __future__ import annotations
 
+from ..errors import AccelError
 from .access_processor import DMA_CHUNK_BYTES
 from .block import BlockAccelerator, ControlBlock
 
@@ -23,8 +24,7 @@ class MemcopyEngine(BlockAccelerator):
 
     def _kernel(self, cb: ControlBlock):
         if cb.opcode != KERNEL_MEMCOPY:
-            raise_on = f"{self.name}: unexpected opcode {cb.opcode:#x}"
-            raise ValueError(raise_on)
+            raise AccelError(f"{self.name}: unexpected opcode {cb.opcode:#x}")
         copied = 0
         pending_write = None
         # large segments keep several row bursts outstanding per port; the

@@ -1,18 +1,24 @@
-"""Error paths of the block-accelerator control-block protocol."""
+"""Error paths of the block-accelerator control-block protocol and its
+guarded kernel drive."""
+
+from functools import partial
 
 import pytest
 
 from repro.accel import (
+    BLOCK_BYTES,
+    KERNEL_FFT,
     AccessProcessor,
     BlockAccelerator,
     ControlBlock,
+    FftEngineFarm,
     STATUS_DONE,
     STATUS_ERROR,
     STATUS_RUNNING,
 )
-from repro.errors import AccelError
+from repro.errors import AccelError, SimulationError
 from repro.memory import DdrDram, MemoryController
-from repro.sim import Simulator
+from repro.sim import Signal, Simulator, profile
 from repro.units import MIB
 
 
@@ -28,6 +34,23 @@ class WellBehavedEngine(BlockAccelerator):
     def _kernel(self, cb):
         yield 1_000
         return (cb.param * 2, 0)
+
+
+class RunawayEngine(BlockAccelerator):
+    """Kernel that reschedules itself ``param`` times (a stuck state machine)."""
+
+    def _kernel(self, cb):
+        for _ in range(cb.param):
+            yield 1_000
+        return (0, 0)
+
+
+class StuckEngine(BlockAccelerator):
+    """Kernel that waits on a signal nothing will ever fire."""
+
+    def _kernel(self, cb):
+        yield Signal("never")
+        return (0, 0)
 
 
 def make_access(sim):
@@ -81,3 +104,32 @@ class TestControlBlockErrorPaths:
         # poll just the status word (offset 4, 4 bytes)
         raw = sim.run_until_signal(engine.submit_read(4, 4))
         assert int.from_bytes(raw, "little") == STATUS_DONE
+
+
+class TestRunToCompletionIsGuarded:
+    """run_to_completion drives the kernel through run_until_signal."""
+
+    def test_profiler_sees_fft_farm_events(self):
+        sim = Simulator()
+        farm = FftEngineFarm(sim, make_access(sim))
+        with profile.profiled() as prof:
+            farm.run_to_completion(
+                ControlBlock(opcode=KERNEL_FFT, src=0, dst=8 * MIB, length=4 * BLOCK_BYTES)
+            )
+        assert prof.runs == 1
+        assert prof.events > 0
+
+    def test_runaway_kernel_hits_max_events(self, monkeypatch):
+        sim = Simulator()
+        engine = RunawayEngine(sim, make_access(sim))
+        monkeypatch.setattr(
+            sim, "run_until_signal", partial(sim.run_until_signal, max_events=1_000)
+        )
+        with pytest.raises(SimulationError, match="max_events=1000"):
+            engine.run_to_completion(ControlBlock(opcode=1, param=5_000))
+
+    def test_drained_queue_raises_simulation_error(self):
+        sim = Simulator()
+        engine = StuckEngine(sim, make_access(sim))
+        with pytest.raises(SimulationError, match="deadlock"):
+            engine.run_to_completion(ControlBlock(opcode=1))

@@ -215,6 +215,13 @@ class TestControlBlockProtocol:
         polled = ControlBlock.unpack(raw)
         assert polled.status == STATUS_DONE
 
+    @pytest.mark.parametrize("engine_cls", [MemcopyEngine, MinMaxEngine, FftEngineFarm])
+    def test_wrong_opcode_raises_accel_error(self, engine_cls):
+        sim, _, ap = fresh()
+        engine = engine_cls(sim, ap)
+        with pytest.raises(AccelError, match="unexpected opcode 0x7f"):
+            engine.run_to_completion(ControlBlock(opcode=0x7F, length=8192))
+
     def test_partial_line_store_rejected(self):
         sim, _, ap = fresh()
         engine = MinMaxEngine(sim, ap)

@@ -1,11 +1,11 @@
 """Kernel self-profiler: hotspot map plus the zero-cost-disabled guard.
 
-The DES kernel's dispatch loops check ``profile.active`` once per
-``run()`` call and take the historical untimed loop when no profiler is
-installed (see :mod:`repro.sim.profile`).  This benchmark guards that
-promise the same way ``bench_attribution_overhead.py`` guards the
-telemetry nil-checks: the unprofiled run must not be measurably slower
-than the profiled run of the same experiment — if the disabled path
+The DES kernel's one dispatch loop checks ``profile.active`` once per
+drive and runs with no per-event hook when neither the profiler nor
+kernel-event tracing is on (see :mod:`repro.sim.profile`).  This
+benchmark guards that promise the same way ``bench_attribution_overhead.py``
+guards the telemetry nil-checks: the unprofiled run must not be measurably
+slower than the profiled run of the same experiment — if the disabled path
 cost real time, the profiled run (which does strictly more work per
 event) could not keep up.
 
@@ -102,9 +102,9 @@ def test_kernel_hotspots(benchmark, tmp_path):
         "events": record["events"],
     })
 
-    # the zero-cost-disabled guard: no profiler installed means the
-    # historical untimed loop, so the unprofiled run must not lose to
-    # the profiled one (which times every dispatch)
+    # the zero-cost-disabled guard: no profiler installed means no
+    # per-event hook, so the unprofiled run must not lose to the
+    # profiled one (which times every dispatch)
     assert record["unprofiled_s"] <= record["profiled_s"] * NOISE_CUSHION, (
         f"unprofiled run ({record['unprofiled_s']:.3f}s) measurably slower "
         f"than profiled run ({record['profiled_s']:.3f}s): the "

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from ..dmi.commands import Command, Opcode, Response
 from ..errors import ProtocolError
-from ..sim import Simulator, StatsRegistry
+from ..sim import Simulator
 from ..telemetry import probe
 
 RespondFn = Callable[[Response], None]
@@ -32,17 +32,14 @@ class MemoryBuffer:
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.stats = StatsRegistry()
 
     # -- DmiChannel integration ------------------------------------------------
 
     def handle_command(self, command: Command, respond: RespondFn) -> None:
         """Entry point wired as the channel's ``buffer_handler``."""
-        self.stats.counter(f"cmd.{command.opcode.value}").add()
         started = self.sim.now_ps
 
         def respond_and_record(response: Response) -> None:
-            self.stats.latency("service").record(self.sim.now_ps - started)
             trace = probe.session
             if trace is not None:
                 trace.complete(

@@ -7,8 +7,9 @@ publish the exact polynomial, so we use CRC-16/CCITT-FALSE (polynomial
 What the experiments exercise is the *behaviour*: any corrupted frame fails
 its check and triggers replay, and an intact frame never does.
 
-A table-driven implementation is provided because frames are checked on
-every transfer in protocol-level simulations.
+The implementation is table-driven because frames are checked on every
+transfer in protocol-level simulations; the bit-serial reference it is
+checked against lives in ``tests/dmi/test_crc_scrambler.py``.
 """
 
 from __future__ import annotations
@@ -60,19 +61,6 @@ def crc16(data: bytes, init: int = CRC16_INIT) -> int:
         crc = hi[x >> 8] ^ lo[x & 0xFF]
     if len(data) & 1:
         crc = ((crc << 8) & 0xFFFF) ^ _TABLE[((crc >> 8) ^ data[-1]) & 0xFF]
-    return crc
-
-
-def crc16_bitwise(data: bytes, init: int = CRC16_INIT) -> int:
-    """Bit-serial reference implementation (used to cross-check the table)."""
-    crc = init
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ CRC16_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
     return crc
 
 

@@ -22,9 +22,9 @@ The hot path is therefore table-driven: the 8-step state transition and the
 output byte are both GF(2)-linear in the 23-bit state, so three 256-entry
 tables (one per state byte) advance the LFSR a whole byte per lookup, lane
 keystreams are generated in cached blocks, and frames are XORed against the
-keystream with single big-int operations.  ``LfsrStream.next_bit`` /
-``next_byte`` keep the historical bit-serial implementation as the golden
-reference — ``tests/dmi/test_scrambler_golden.py`` proves both paths emit
+keystream with single big-int operations.  The historical bit-serial
+``next_bit`` / ``next_byte`` steps survive only as the golden reference in
+``tests/dmi/test_scrambler_golden.py``, which proves both paths emit
 identical keystreams, byte for byte.
 """
 
@@ -38,9 +38,10 @@ _LFSR_MASK = (1 << LFSR_WIDTH) - 1
 
 
 def _step_bits(state: int, nbits: int) -> tuple:
-    """Bit-serial reference: advance ``state`` by ``nbits``; return (state, out).
+    """Bit-serial LFSR walk: advance ``state`` by ``nbits``; return (state, out).
 
-    Output bits are packed LSB-first, matching ``LfsrStream.next_byte``.
+    Output bits are packed LSB-first (the first output bit is bit 0).  Only
+    the table builders below call it; the hot path never steps bits.
     """
     out = 0
     for i in range(nbits):
@@ -86,17 +87,6 @@ class LfsrStream:
             seed = 1  # an all-zero LFSR state is a fixed point; avoid it
         self.state = seed
 
-    def next_bit(self) -> int:
-        """Bit-serial reference step (golden path; the hot path uses tables)."""
-        self.state, bit = _step_bits(self.state, 1)
-        return bit
-
-    def next_byte(self) -> int:
-        value = 0
-        for i in range(8):
-            value |= self.next_bit() << i
-        return value
-
     def skip_bytes(self, nbytes: int) -> None:
         """Advance the state past ``nbytes`` output bytes, discarding them.
 
@@ -118,9 +108,9 @@ class LfsrStream:
     def next_block(self, nbytes: int) -> bytes:
         """Table-driven fast path: ``nbytes`` keystream bytes in one call.
 
-        Advances ``self.state`` exactly as ``nbytes`` calls to
-        :meth:`next_byte` would — one packed table lookup per byte instead
-        of 48 interpreted bit operations.
+        Advances ``self.state`` and emits exactly what ``8 * nbytes``
+        bit-serial LFSR steps would — one packed table lookup per byte
+        instead of 48 interpreted bit operations.
         """
         state = self.state
         out = bytearray(nbytes)

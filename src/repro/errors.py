@@ -45,11 +45,7 @@ class TagExhaustedError(ProtocolError):
 
 
 class TelemetryError(ReproError, ValueError):
-    """Telemetry misuse: duplicate metric name, kind clash, nested session.
-
-    Also a :class:`ValueError` — the legacy ``sim.stats`` wrappers raised
-    ``ValueError`` for bad metric arguments and callers catch it as such.
-    """
+    """Telemetry misuse: duplicate metric name, kind clash, nested session."""
 
 
 class MemoryError_(ReproError):

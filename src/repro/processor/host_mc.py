@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..dmi import Command, DmiChannel, Opcode, TagPool
 from ..errors import ProtocolError
-from ..sim import LatencyRecorder, Signal, Simulator
+from ..sim import Signal, Simulator
 from ..telemetry import probe
 from ..units import CACHE_LINE_BYTES
 
@@ -33,7 +33,6 @@ class HostMemoryController:
         self.channel = channel
         self.name = name or f"hmc.{channel.name}"
         self.tags = TagPool(sim) if num_tags is None else TagPool(sim, num_tags)
-        self.latency = LatencyRecorder(f"{self.name}.cmd")
 
     # -- generic issue ------------------------------------------------------
 
@@ -41,7 +40,8 @@ class HostMemoryController:
         """Acquire a tag (waiting if the window is full) and issue.
 
         The returned signal fires with the :class:`Response`; the tag is
-        released and the round-trip latency recorded first.
+        released (and, under a trace session, the round-trip latency
+        recorded) first.
         """
         result = Signal(f"{self.name}.{opcode.value}@{addr:#x}")
         issued_at = self.sim.now_ps
@@ -72,7 +72,6 @@ class HostMemoryController:
 
             def complete(response) -> None:
                 self.tags.release(tag)
-                self.latency.record(self.sim.now_ps - issued_at)
                 trace = probe.session
                 if trace is not None:
                     # tag acquire through done: includes any tag-window stall

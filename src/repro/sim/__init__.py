@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel: deterministic time, processes, stats."""
+"""Discrete-event simulation kernel: deterministic time, processes, profiling."""
 
 from .clock import (
     ClockDomain,
@@ -12,21 +12,16 @@ from .kernel import Simulator
 from .process import Process, all_of
 from .profile import PROFILE_SCHEMA, KernelProfiler, profiled, write_profile
 from .rng import Rng, derive_seed
-from .stats import BandwidthMeter, Counter, LatencyRecorder, StatsRegistry
 
 __all__ = [
-    "BandwidthMeter",
     "ClockDomain",
-    "Counter",
     "KernelProfiler",
-    "LatencyRecorder",
     "PROFILE_SCHEMA",
     "Process",
     "Rng",
     "ScheduledCall",
     "Signal",
     "Simulator",
-    "StatsRegistry",
     "all_of",
     "centaur_core_clock",
     "derive_seed",

@@ -17,12 +17,19 @@ Design notes
   ``seq`` is unique so the call object itself is never compared.  A live
   (not-yet-cancelled) event counter is maintained O(1) across scheduling,
   cancellation, and dispatch so :attr:`pending_events` never scans the heap.
-  See ``docs/kernel.md`` for the hot-path design rules.
+* Every event runs through one dispatch loop, :meth:`Simulator._drive`;
+  :meth:`~Simulator.run` and :meth:`~Simulator.run_until_signal` only give
+  it a stop signal and a time limit.  Kernel-event tracing and the profiler
+  share one per-event hook chosen once per drive, so a drive with both off
+  pays one ``is None`` test per event.
+
+See ``docs/kernel.md`` for the hot-path design rules.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -32,8 +39,37 @@ from . import profile as _profile
 from .event import ScheduledCall, Signal
 
 #: default runaway-loop guard: exactly this many events may execute before
-#: a dispatch loop raises :class:`SimulationError`
+#: a drive raises :class:`SimulationError`
 DEFAULT_MAX_EVENTS = 50_000_000
+
+#: the stop signal :meth:`Simulator.run` drives against: it never fires, so
+#: only the queue draining or ``until_ps`` ends a run
+_NEVER = Signal("never")
+
+
+def _event_hook(trace, prof) -> Optional[Callable[[ScheduledCall], None]]:
+    """The per-event hook of one drive, chosen once before it starts.
+
+    ``None`` (the loop calls each event directly) unless kernel-event
+    tracing or the profiler is on; otherwise one closure that emits the
+    event's instant, times its call into ``prof``, or both.
+    """
+    trace_events = trace is not None and trace.kernel_events
+    if prof is None and not trace_events:
+        return None
+
+    def hook(call: ScheduledCall) -> None:
+        fn = call.fn
+        if trace_events:
+            trace.instant("kernel", getattr(fn, "__qualname__", "event"), call.time_ps)
+        if prof is None:
+            fn(*call.args)
+        else:
+            t0 = perf_counter()
+            fn(*call.args)
+            prof.record(_profile.event_key(fn), perf_counter() - t0)
+
+    return hook
 
 
 class Simulator:
@@ -93,109 +129,18 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the single next event.  Returns ``False`` if the queue is empty."""
-        queue = self._queue
-        while queue:
-            call = heapq.heappop(queue)[2]
-            if call.cancelled:
-                continue
-            call._sim = None
-            self._live_events -= 1
-            self._now_ps = call.time_ps
-            call.fn(*call.args)
-            return True
-        return False
-
-    def _step_traced(self, trace) -> bool:
-        """step() emitting one instant per event (kernel_events sessions)."""
-        queue = self._queue
-        while queue:
-            call = heapq.heappop(queue)[2]
-            if call.cancelled:
-                continue
-            call._sim = None
-            self._live_events -= 1
-            self._now_ps = call.time_ps
-            trace.instant(
-                "kernel", getattr(call.fn, "__qualname__", "event"), call.time_ps
-            )
-            call.fn(*call.args)
-            return True
-        return False
-
-    def _step_profiled(self, prof, trace, trace_events) -> bool:
-        """step() timing each event into the installed kernel profiler."""
-        queue = self._queue
-        while queue:
-            call = heapq.heappop(queue)[2]
-            if call.cancelled:
-                continue
-            call._sim = None
-            self._live_events -= 1
-            self._now_ps = call.time_ps
-            if trace_events:
-                trace.instant(
-                    "kernel", getattr(call.fn, "__qualname__", "event"),
-                    call.time_ps,
-                )
-            t0 = perf_counter()
-            call.fn(*call.args)
-            prof.record(_profile.event_key(call.fn), perf_counter() - t0)
-            return True
-        return False
-
     def run(self, until_ps: Optional[int] = None, max_events: int = DEFAULT_MAX_EVENTS) -> int:
         """Run events until the queue drains or simulated time passes ``until_ps``.
 
         Returns the number of events executed.  ``max_events`` guards against
         runaway self-rescheduling loops in model bugs: exactly ``max_events``
-        events may execute; the error raises when one more is due.
+        events may execute; the error raises when one more is due.  Drives
+        do not nest: calling this from an event callback raises.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
-        executed = 0
-        # Hoisted so the disabled-telemetry dispatch loop pays nothing per
-        # event beyond a LOAD_FAST; per-event emission only on request.
-        # The same applies to the kernel profiler: its is-None check runs
-        # once per run() call, and the historical untimed loop is taken
-        # verbatim when no profiler is installed.
         trace = probe.session
-        trace_events = trace is not None and trace.kernel_events
-        prof = _profile.active
         start_ps = self._now_ps
-        queue = self._queue
-        try:
-            if prof is not None:
-                executed = self._run_profiled(
-                    until_ps, max_events, trace, trace_events, prof
-                )
-            else:
-                while queue:
-                    time_ps, _, call = queue[0]
-                    if call.cancelled:
-                        heapq.heappop(queue)
-                        continue
-                    if until_ps is not None and time_ps > until_ps:
-                        break
-                    if executed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely a scheduling loop"
-                        )
-                    heapq.heappop(queue)
-                    call._sim = None
-                    self._live_events -= 1
-                    self._now_ps = time_ps
-                    if trace_events:
-                        trace.instant(
-                            "kernel", getattr(call.fn, "__qualname__", "event"),
-                            time_ps,
-                        )
-                    call.fn(*call.args)
-                    executed += 1
-        finally:
-            self._running = False
+        limit = math.inf if until_ps is None else until_ps
+        executed = self._drive(_NEVER, limit, max_events, trace)
         if until_ps is not None and self._now_ps < until_ps:
             self._now_ps = until_ps
         if trace is not None:
@@ -204,42 +149,6 @@ class Simulator:
             )
             trace.count("kernel.runs")
             trace.count("kernel.events", executed)
-        return executed
-
-    def _run_profiled(self, until_ps, max_events, trace, trace_events, prof) -> int:
-        """The run() drain loop with per-event wall-time attribution.
-
-        A verbatim copy of the untimed loop plus two ``perf_counter``
-        reads per event — kept separate so the common (unprofiled) path
-        stays exactly as fast as before the profiler existed.
-        """
-        executed = 0
-        prof.runs += 1
-        queue = self._queue
-        while queue:
-            time_ps, _, call = queue[0]
-            if call.cancelled:
-                heapq.heappop(queue)
-                continue
-            if until_ps is not None and time_ps > until_ps:
-                break
-            if executed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
-                )
-            heapq.heappop(queue)
-            call._sim = None
-            self._live_events -= 1
-            self._now_ps = time_ps
-            if trace_events:
-                trace.instant(
-                    "kernel", getattr(call.fn, "__qualname__", "event"),
-                    time_ps,
-                )
-            t0 = perf_counter()
-            call.fn(*call.args)
-            prof.record(_profile.event_key(call.fn), perf_counter() - t0)
-            executed += 1
         return executed
 
     def run_until_signal(
@@ -254,56 +163,20 @@ class Simulator:
         the optional timeout elapses before the signal fires, or more than
         ``max_events`` events execute (a self-rescheduling loop that never
         fires the signal would otherwise spin forever with no timeout).
+        Like :meth:`run`, it raises when called from an event callback.
         """
-        deadline = None if timeout_ps is None else self._now_ps + timeout_ps
         trace = probe.session
-        trace_events = trace is not None and trace.kernel_events
-        prof = _profile.active
-        if prof is not None:
-            prof.runs += 1
-            step = lambda: self._step_profiled(prof, trace, trace_events)  # noqa: E731
-        elif trace_events:
-            step = lambda: self._step_traced(trace)  # noqa: E731
-        else:
-            step = None  # fast path: dispatch inline, no per-event call
         start_ps = self._now_ps
-        executed = 0
-        queue = self._queue
-        heappop = heapq.heappop
-        while not signal.triggered:
-            if deadline is not None:
-                # Cancelled entries must not shadow the deadline check: a
-                # cancelled head timestamped before the deadline would let
-                # the dispatch below execute the next *live* event past the
-                # timeout, advancing sim time beyond the deadline.
-                while queue and queue[0][2].cancelled:
-                    heappop(queue)
-                if queue and queue[0][0] > deadline:
-                    raise SimulationError(
-                        f"timeout waiting for signal {signal.name!r} after {timeout_ps}ps"
-                    )
-            if executed >= max_events:
+        limit = math.inf if timeout_ps is None else start_ps + timeout_ps
+        executed = self._drive(signal, limit, max_events, trace)
+        if not signal.triggered:
+            if self._queue:
                 raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
+                    f"timeout waiting for signal {signal.name!r} after {timeout_ps}ps"
                 )
-            if step is None:
-                while queue:
-                    call = heappop(queue)[2]
-                    if not call.cancelled:
-                        break
-                else:
-                    raise SimulationError(
-                        f"deadlock: event queue empty, signal {signal.name!r} never fired"
-                    )
-                call._sim = None
-                self._live_events -= 1
-                self._now_ps = call.time_ps
-                call.fn(*call.args)
-            elif not step():
-                raise SimulationError(
-                    f"deadlock: event queue empty, signal {signal.name!r} never fired"
-                )
-            executed += 1
+            raise SimulationError(
+                f"deadlock: event queue empty, signal {signal.name!r} never fired"
+            )
         if trace is not None:
             trace.complete(
                 "kernel", "run_until_signal", start_ps, self._now_ps,
@@ -312,6 +185,51 @@ class Simulator:
             trace.count("kernel.signal_waits")
             trace.count("kernel.events", executed)
         return signal.value
+
+    def _drive(self, stop: Signal, limit: float, max_events: int, trace) -> int:
+        """The one dispatch loop behind :meth:`run` and :meth:`run_until_signal`.
+
+        Executes events in ``(time_ps, seq)`` order until ``stop`` fires,
+        the queue drains, or the next live event lies past ``limit``, and
+        returns how many ran.  Cancelled heads are discarded before the
+        limit check, so one can never shadow a live event past the limit.
+        The loop owns the running flag, so no drive can start inside
+        another, and the flag clears however the drive ends.
+        """
+        if self._running:
+            raise SimulationError("simulator is already running (re-entrant run())")
+        prof = _profile.active
+        if prof is not None:
+            prof.runs += 1
+        hook = _event_hook(trace, prof)
+        self._running = True
+        executed = 0
+        queue = self._queue
+        heappop = heapq.heappop
+        try:
+            while not stop._triggered and queue:
+                time_ps, _, call = queue[0]
+                if call.cancelled:
+                    heappop(queue)
+                    continue
+                if time_ps > limit:
+                    break
+                if executed >= max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely a scheduling loop"
+                    )
+                heappop(queue)
+                call._sim = None
+                self._live_events -= 1
+                self._now_ps = time_ps
+                if hook is None:
+                    call.fn(*call.args)
+                else:
+                    hook(call)
+                executed += 1
+        finally:
+            self._running = False
+        return executed
 
     @property
     def pending_events(self) -> int:

@@ -9,10 +9,11 @@ calendar-queue/batching overhaul would be judged against.
 
 Design constraints, in order:
 
-1. **Zero cost when disabled.**  The dispatch loops in
-   :class:`~repro.sim.kernel.Simulator` check ``profile.active`` once
-   per ``run()``/``run_until_signal()`` call — never per event — and
-   take the historical untimed loop when no profiler is installed.
+1. **Zero cost when disabled.**  The dispatch loop in
+   :class:`~repro.sim.kernel.Simulator` checks ``profile.active`` once
+   per ``run()``/``run_until_signal()`` drive — never per event — and,
+   when no profiler is installed, times nothing: the profiler is one
+   half of the per-event hook chosen for the drive.
    ``benchmarks/bench_kernel_hotspots.py`` guards exactly this.
 2. **Deterministic counts.**  Event *counts* per callback are a pure
    function of the simulation (same code, same seed, same counts), so
@@ -50,7 +51,7 @@ PROFILE_SCHEMA_VERSION = 1
 #: the schema identifier stamped on profile artifacts
 PROFILE_SCHEMA = f"repro.profile/v{PROFILE_SCHEMA_VERSION}"
 
-#: the ambient profiler the kernel dispatch loops consult (one per
+#: the ambient profiler the kernel dispatch loop consults (one per
 #: process, like ``telemetry.probe.session``)
 active: Optional["KernelProfiler"] = None
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import StorageError
-from ..sim import LatencyRecorder, Rng, Signal, Simulator
+from ..sim import Rng, Signal, Simulator
 from ..telemetry import probe
 
 SECTOR_BYTES = 512
@@ -80,8 +80,6 @@ class BlockDevice:
         self.sim = sim
         self.capacity_bytes = capacity_bytes
         self.name = name
-        self.read_latency = LatencyRecorder(f"{name}.read")
-        self.write_latency = LatencyRecorder(f"{name}.write")
         self.reads = 0
         self.writes = 0
         self.bytes_read = 0
@@ -148,11 +146,9 @@ class BlockDevice:
                 if op == "read":
                     self.reads += 1
                     self.bytes_read += nbytes
-                    self.read_latency.record(now - t0)
                 else:
                     self.writes += 1
                     self.bytes_written += nbytes
-                    self.write_latency.record(now - t0)
                 if trace is not None:
                     span = "rd" if op == "read" else "wr"
                     trace.complete(

@@ -2,8 +2,7 @@
 
 These are the building blocks the :class:`~repro.telemetry.registry.
 MetricsRegistry` hands out.  They are deliberately simulator-agnostic —
-no clocks, no events — so every layer of the library (and the legacy
-``repro.sim.stats`` wrappers built on top of them) can share one set of
+no clocks, no events — so every layer of the library can share one set of
 measurement semantics:
 
 * every summary is **well-defined on an empty metric** (no ``ValueError``,

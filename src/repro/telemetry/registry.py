@@ -168,18 +168,3 @@ class MetricsRegistry:
         ]
         counters.sort(key=lambda item: (-item[1], item[0]))
         return counters[:limit]
-
-    def merge_flat(self, values: Dict[str, float], prefix: str = "") -> None:
-        """Absorb a legacy flat snapshot (e.g. ``StatsRegistry.snapshot()``)
-        as gauges, for components not yet emitting through a session."""
-        for key, value in values.items():
-            name = f"{prefix}.{key}" if prefix else key
-            self.gauge(name).set(value)
-
-
-def registry_from_counters(pairs: Iterable[tuple]) -> MetricsRegistry:
-    """Convenience for tests: build a registry from ``(name, count)`` pairs."""
-    registry = MetricsRegistry()
-    for name, count in pairs:
-        registry.counter(name).add(count)
-    return registry

@@ -15,6 +15,7 @@ from repro.dmi import Command, Opcode
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory import DdrDram
 from repro.sim import Signal, Simulator
+from repro.telemetry import TraceSession
 from repro.units import GIB, MIB
 
 
@@ -162,5 +163,8 @@ class TestLatencyConfigs:
     def test_service_latency_recorded(self):
         sim = Simulator()
         centaur = make_centaur(sim)
-        run_command(sim, centaur, Command(Opcode.READ, 0, 0))
-        assert centaur.stats.latency("service").count == 1
+        with TraceSession("unit") as session:
+            run_command(sim, centaur, Command(Opcode.READ, 0, 0))
+        registry = session.registry
+        assert registry.histogram("buffer.service_ps").count == 1
+        assert registry.counter("buffer.centaur.commands").count == 1

@@ -4,8 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dmi.crc import append_crc, check_crc, crc16, crc16_bitwise
+from repro.dmi.crc import CRC16_INIT, CRC16_POLY, append_crc, check_crc, crc16
 from repro.dmi.scrambler import BundleScrambler, LaneScrambler, LfsrStream
+
+
+def crc16_bitwise(data: bytes, init: int = CRC16_INIT) -> int:
+    """Bit-serial reference implementation (used to cross-check the table)."""
+    crc = init
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ CRC16_POLY) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
 
 
 class TestCrc16:
@@ -38,17 +51,14 @@ class TestCrc16:
 
 class TestLfsr:
     def test_stream_is_deterministic(self):
-        a, b = LfsrStream(3), LfsrStream(3)
-        assert [a.next_byte() for _ in range(32)] == [b.next_byte() for _ in range(32)]
+        assert LfsrStream(3).next_block(32) == LfsrStream(3).next_block(32)
 
     def test_lanes_have_different_streams(self):
-        a, b = LfsrStream(0), LfsrStream(1)
-        assert [a.next_byte() for _ in range(16)] != [b.next_byte() for _ in range(16)]
+        assert LfsrStream(0).next_block(16) != LfsrStream(1).next_block(16)
 
     def test_stream_has_transitions(self):
         # the point of scrambling: the keystream is never stuck at 0 or 255
-        stream = LfsrStream(0)
-        produced = {stream.next_byte() for _ in range(256)}
+        produced = set(LfsrStream(0).next_block(256))
         assert len(produced) > 32
 
 

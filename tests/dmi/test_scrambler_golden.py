@@ -2,7 +2,8 @@
 
 The hex vectors below were captured from the historical bit-serial
 implementation (``LfsrStream.next_byte`` looping ``next_bit``) before the
-table-driven fast path existed.  They pin three independent layers:
+table-driven fast path existed; ``BitSerialLfsr`` keeps those two steps
+verbatim as the reference.  They pin three independent layers:
 
 * the per-lane LFSR keystream itself (seed mixing included);
 * the bundle striping (round-robin across lanes, restarting at lane 0
@@ -17,7 +18,23 @@ failure here means artifact reproducibility is broken.
 
 import random
 
-from repro.dmi.scrambler import BundleScrambler, LaneScrambler, LfsrStream
+from repro.dmi.scrambler import BundleScrambler, LaneScrambler, LfsrStream, _step_bits
+
+
+class BitSerialLfsr(LfsrStream):
+    """The historical bit-serial keystream steps, one LFSR bit at a time."""
+
+    def next_bit(self) -> int:
+        """Bit-serial reference step (golden path; the hot path uses tables)."""
+        self.state, bit = _step_bits(self.state, 1)
+        return bit
+
+    def next_byte(self) -> int:
+        value = 0
+        for i in range(8):
+            value |= self.next_bit() << i
+        return value
+
 
 #: first 32 keystream bytes per lane, from the bit-serial implementation
 LANE_GOLDEN = {
@@ -62,7 +79,7 @@ BUNDLE_GOLDEN = {
 class TestLaneGolden:
     def test_bit_serial_reference_matches_golden(self):
         for lane, expect in LANE_GOLDEN.items():
-            stream = LfsrStream(lane)
+            stream = BitSerialLfsr(lane)
             got = bytes(stream.next_byte() for _ in range(32))
             assert got.hex() == expect, f"lane {lane}"
 
@@ -73,7 +90,7 @@ class TestLaneGolden:
     def test_table_blocks_match_bit_serial_any_size(self):
         # odd/even/large block sizes all continue the same stream
         for size in (1, 2, 3, 7, 8, 31, 64, 257):
-            a, b = LfsrStream(5), LfsrStream(5)
+            a, b = LfsrStream(5), BitSerialLfsr(5)
             got = a.next_block(size)
             ref = bytes(b.next_byte() for _ in range(size))
             assert got == ref, f"size {size}"

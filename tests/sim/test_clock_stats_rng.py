@@ -1,20 +1,17 @@
-"""Tests for clock domains, stats primitives, and the RNG wrapper."""
+"""Tests for clock domains, the metric counter, and the RNG wrapper."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim import (
-    BandwidthMeter,
     ClockDomain,
-    Counter,
-    LatencyRecorder,
     Rng,
-    StatsRegistry,
     centaur_core_clock,
     dmi_link_clock,
     fabric_clock,
     nest_clock,
 )
+from repro.telemetry.metrics import Counter
 from repro.units import GHZ, MHZ
 
 
@@ -69,73 +66,6 @@ class TestCounter:
         c.add(3)
         c.reset()
         assert c.count == 0
-
-
-class TestLatencyRecorder:
-    def test_mean(self):
-        rec = LatencyRecorder("l")
-        for sample in (1_000, 2_000, 3_000):
-            rec.record(sample)
-        assert rec.mean_ps() == 2_000
-        assert rec.mean_ns() == 2.0
-
-    def test_percentile(self):
-        rec = LatencyRecorder("l")
-        for sample in range(1, 101):
-            rec.record(sample)
-        assert rec.percentile_ps(50) == 50
-        assert rec.percentile_ps(99) == 99
-        assert rec.percentile_ps(100) == 100
-
-    def test_min_max(self):
-        rec = LatencyRecorder("l")
-        rec.record(5)
-        rec.record(50)
-        assert rec.min_ps() == 5
-        assert rec.max_ps() == 50
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder("l").mean_ps()
-
-    def test_negative_sample_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder("l").record(-1)
-
-    def test_stddev_single_sample_is_zero(self):
-        rec = LatencyRecorder("l")
-        rec.record(100)
-        assert rec.stddev_ps() == 0.0
-
-
-class TestBandwidthMeter:
-    def test_gb_per_s(self):
-        meter = BandwidthMeter("b")
-        meter.start(0)
-        meter.record(1_000, 1_000_000)  # 1000 bytes in 1 us -> 1 GB/s
-        assert meter.gb_per_s() == pytest.approx(1.0)
-
-    def test_empty_window_raises(self):
-        meter = BandwidthMeter("b")
-        meter.start(0)
-        with pytest.raises(ValueError):
-            meter.gb_per_s()
-
-
-class TestStatsRegistry:
-    def test_counter_reuse(self):
-        reg = StatsRegistry()
-        reg.counter("reads").add(2)
-        reg.counter("reads").add(3)
-        assert reg.counter("reads").count == 5
-
-    def test_snapshot(self):
-        reg = StatsRegistry()
-        reg.counter("ops").add(7)
-        reg.latency("cmd").record(2_000)
-        snap = reg.snapshot()
-        assert snap["count.ops"] == 7
-        assert snap["latency_ns.cmd"] == 2.0
 
 
 class TestRng:

@@ -101,11 +101,6 @@ class TestViews:
         tree = reg.tree()
         assert tree["dmi"]["frames_sent"] == 1
 
-    def test_merge_flat(self):
-        reg = MetricsRegistry()
-        reg.merge_flat({"count.read": 12}, prefix="legacy")
-        assert reg.snapshot()["legacy.count.read"] == 12
-
 
 class TestHistogramPercentiles:
     def test_percentiles_helper(self):

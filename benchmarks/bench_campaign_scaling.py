@@ -10,7 +10,7 @@ trajectory:
 2. **parallel** — a process pool (``min(4, cpu_count)`` workers), cold
    cache; on a multi-core host this is bounded below by the single
    longest job, on a single-core host it degenerates to serial plus
-   pool overhead (``cpu_count`` is recorded so readers can tell);
+   pool overhead (the host's ``cpu_count`` is recorded so readers can tell);
 3. **cached**   — a re-run against the warm cache: every job served by
    content address, no simulation at all.
 
@@ -19,13 +19,14 @@ Under pytest:    pytest benchmarks/bench_campaign_scaling.py -s
 """
 
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from bench_util import host_facts  # noqa: E402
 
 from repro.campaign import CampaignRunner, ResultCache, ScenarioMatrix  # noqa: E402
 
@@ -63,7 +64,8 @@ def _timed_run(jobs, workers, cache):
 
 def run_scaling(artifact_path: str = ARTIFACT) -> dict:
     jobs = scaling_matrix().expand()
-    cpu_count = multiprocessing.cpu_count()
+    host = host_facts()
+    cpu_count = host["cpu_count"]
     # always at least 2 so the pool path is actually exercised; on a
     # single-core host that measures pure scheduling overhead
     workers = max(2, min(4, cpu_count))
@@ -87,7 +89,7 @@ def run_scaling(artifact_path: str = ARTIFACT) -> dict:
     record = {
         "schema": "repro.bench/v1",
         "benchmark": "campaign_scaling",
-        "cpu_count": cpu_count,
+        "host": host,
         "parallel_workers": workers,
         "jobs": len(jobs),
         "serial_s": round(serial_s, 4),
@@ -136,7 +138,7 @@ def test_campaign_scaling(tmp_path):
     )
     # parallel never loses badly: on one core it degenerates to ~serial
     # (pool overhead only); with real cores it must actually win
-    if record["cpu_count"] >= 2:
+    if record["host"]["cpu_count"] >= 2:
         assert record["speedup_parallel"] > 1.1
     else:
         assert record["speedup_parallel"] > 0.7

@@ -25,7 +25,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_util import run_once  # noqa: E402
+from bench_util import host_facts, run_once  # noqa: E402
 
 from repro import run_table3  # noqa: E402
 from repro.sim import profile  # noqa: E402
@@ -71,6 +71,7 @@ def run_hotspots(artifact_path: str = ARTIFACT) -> dict:
         "schema": "repro.bench/v1",
         "benchmark": "kernel_hotspots",
         "experiment": f"table3[samples={SAMPLES}]",
+        "host": host_facts(),
         "unprofiled_s": round(unprofiled_s, 4),
         "profiled_s": round(profiled_s, 4),
         "profiler_overhead": round(profiled_s / unprofiled_s, 3),

@@ -8,7 +8,17 @@ claims, and prints the full table.
 Run:  pytest benchmarks/ --benchmark-only -s
 """
 
-import pytest
+import os
+import platform
+
+
+def host_facts() -> dict:
+    """The host a ``repro.bench/v1`` record was measured on."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def run_once(benchmark, fn, *args, **kwargs):

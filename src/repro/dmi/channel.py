@@ -45,7 +45,6 @@ from .frames import (
     Frame,
     TrainingFrame,
     UpstreamFrame,
-    next_seq,
     seq_distance,
 )
 from .link import SerialLink
@@ -91,7 +90,7 @@ class FrameEndpoint:
         tx_link: SerialLink,
         frame_in_cls: type,
         config: EndpointConfig,
-        on_payload: Callable[[Frame], None],
+        on_payload: Optional[Callable[[Frame], None]] = None,
         on_fail: Optional[Callable[[Exception], None]] = None,
     ):
         self.sim = sim
@@ -110,8 +109,9 @@ class FrameEndpoint:
         self._next_tx_seq = 0
         self._last_tx_frame: Optional[Frame] = None
         self._last_accepted: Optional[int] = None
-        # popped from the front on every pump: a deque keeps that O(1)
-        self._tx_queue: Deque[dict] = deque()
+        # payload tuples, popped from the front on every pump: a deque
+        # keeps that O(1)
+        self._tx_queue: Deque[tuple] = deque()
         self._replay = ReplayBuffer(config.replay_depth)
         self._ack_check_scheduled = False
         self._idle_ack_scheduled = False
@@ -138,8 +138,15 @@ class FrameEndpoint:
 
     # -- transmit ----------------------------------------------------------
 
-    def enqueue(self, **frame_fields: object) -> None:
-        """Queue a payload for transmission (fields of the outgoing frame)."""
+    def enqueue(self, *payloads: tuple) -> None:
+        """Queue a burst of payloads and schedule one pump to send it.
+
+        A payload is the outgoing frame's two payload fields:
+        ``(command, chunk)`` downstream, ``(dones, chunk)`` upstream.  One
+        pump per burst is exact: pumps scheduled by one callback would get
+        consecutive ``seq`` at one timestamp, nothing can run between them,
+        and the first drains everything the replay window lets it send.
+        """
         if self.failed:
             if isinstance(self.failure, ReplayError):
                 # replay exhaustion killed the channel: surface the specific
@@ -148,27 +155,33 @@ class FrameEndpoint:
                     f"endpoint {self.name!r}: channel is down ({self.failure})"
                 )
             raise ProtocolError(f"endpoint {self.name!r}: channel is down")
-        self._tx_queue.append(dict(frame_fields))
+        self._tx_queue.extend(payloads)
         self.sim.call_after(self.config.tx_overhead_ps, self._pump)
-
-    def _build_frame(self, seq: int, fields: dict) -> Frame:
-        return self._frame_out_cls(seq, self._last_accepted, **fields)
 
     def _pump(self) -> None:
         if self.failed or self._replay_in_progress:
             return
-        while self._tx_queue and not self._replay.is_full:
-            fields = self._tx_queue.popleft()
+        queue = self._tx_queue
+        replay = self._replay
+        sends = min(len(queue), replay.depth - replay.outstanding)
+        if sends > 0:
+            # sending schedules events but runs none: the ACK we piggyback
+            # cannot change within the burst
+            link = self.tx_link
+            frame_cls = self._frame_out_cls
+            ack = self._last_accepted
             seq = self._next_tx_seq
-            self._next_tx_seq = next_seq(seq)
-            frame = self._build_frame(seq, fields)
-            self.tx_link.send(frame)
-            # Hold the frame object: retransmissions send copies with the
-            # ACK field refreshed.  Stamp the hold with the time the frame
-            # finishes serializing — under a transmit backlog that is later
-            # than now, and the ACK timer must not start before the frame
-            # even leaves.
-            self._replay.hold(seq, frame, self.tx_link.next_free_ps)
+            for _ in range(sends):
+                frame = frame_cls(seq, ack, *queue.popleft())
+                link.send(frame)
+                # Hold the frame object: retransmissions send copies with
+                # the ACK field refreshed.  Stamp the hold with the time the
+                # frame finishes serializing — under a transmit backlog that
+                # is later than now, and the ACK timer must not start before
+                # the frame even leaves.
+                replay.hold(seq, frame, link.next_free_ps)
+                seq = (seq + 1) % SEQ_MOD
+            self._next_tx_seq = seq
             self._last_tx_frame = frame
         self._schedule_ack_check()
 
@@ -473,28 +486,25 @@ class HostCommandLayer:
         if trace is not None:
             trace.count("dmi.commands_issued")
 
-        first_chunk = None
-        if command.opcode.has_downstream_data:
-            assert command.data is not None
-            first_chunk = DataChunk(command.tag, 0, command.data[:DOWN_DATA_CHUNK])
-        header = CommandHeader(command.opcode, command.tag, command.address)
-        self.endpoint.enqueue(command=header, chunk=first_chunk)
-
-        if command.opcode is Opcode.PARTIAL_WRITE:
+        opcode, tag, data = command.opcode, command.tag, command.data
+        header = CommandHeader(opcode, tag, command.address)
+        if not opcode.has_downstream_data:
+            self.endpoint.enqueue((header, None))
+            return done
+        # the header rides with the first chunk, then the byte-enable mask
+        # of a partial write, then the rest of the line: one burst
+        assert data is not None
+        burst = [(header, DataChunk(tag, 0, data[:DOWN_DATA_CHUNK]))]
+        if opcode is Opcode.PARTIAL_WRITE:
             assert command.byte_enable is not None
             mask_bits = bytearray(CACHE_LINE_BYTES // 8)
             for i, enabled in enumerate(command.byte_enable):
                 if enabled:
                     mask_bits[i // 8] |= 1 << (i % 8)
-            self.endpoint.enqueue(
-                chunk=DataChunk(command.tag, MASK_CHUNK_OFFSET, bytes(mask_bits))
-            )
-        if command.opcode.has_downstream_data:
-            assert command.data is not None
-            for off in range(DOWN_DATA_CHUNK, CACHE_LINE_BYTES, DOWN_DATA_CHUNK):
-                self.endpoint.enqueue(
-                    chunk=DataChunk(command.tag, off, command.data[off : off + DOWN_DATA_CHUNK])
-                )
+            burst.append((None, DataChunk(tag, MASK_CHUNK_OFFSET, bytes(mask_bits))))
+        for off in range(DOWN_DATA_CHUNK, CACHE_LINE_BYTES, DOWN_DATA_CHUNK):
+            burst.append((None, DataChunk(tag, off, data[off : off + DOWN_DATA_CHUNK])))
+        self.endpoint.enqueue(*burst)
         return done
 
     def on_upstream(self, frame: UpstreamFrame) -> None:
@@ -643,19 +653,19 @@ class BufferCommandLayer:
                 if jid is not None:
                     # buffer window: command dispatch through response ready
                     journeys.stage_to(jid, "buffer", self.sim.now_ps)
-        if response.data is not None:
-            offsets = list(range(0, CACHE_LINE_BYTES, UP_DATA_CHUNK))
-            for off in offsets[:-1]:
-                self.endpoint.enqueue(
-                    chunk=DataChunk(response.tag, off, response.data[off : off + UP_DATA_CHUNK])
-                )
-            last = offsets[-1]
-            self.endpoint.enqueue(
-                chunk=DataChunk(response.tag, last, response.data[last : last + UP_DATA_CHUNK]),
-                dones=[DoneNotice(response.tag)],
-            )
+        tag, data = response.tag, response.data
+        dones = (DoneNotice(tag),)
+        if data is None:
+            self.endpoint.enqueue((dones, None))
         else:
-            self.endpoint.enqueue(dones=[DoneNotice(response.tag)])
+            # the data chunks, the done riding in the last: one burst
+            last = CACHE_LINE_BYTES - UP_DATA_CHUNK
+            burst = [
+                (None, DataChunk(tag, off, data[off : off + UP_DATA_CHUNK]))
+                for off in range(0, last, UP_DATA_CHUNK)
+            ]
+            burst.append((dones, DataChunk(tag, last, data[last : last + UP_DATA_CHUNK])))
+            self.endpoint.enqueue(*burst)
         self.responses_sent += 1
 
 
@@ -690,11 +700,11 @@ class DmiChannel:
 
         self.host_endpoint = FrameEndpoint(
             sim, f"{name}.host", down_link, UpstreamFrame, host_config,
-            on_payload=self._host_payload, on_fail=self._on_fail,
+            on_fail=self._on_fail,
         )
         self.buffer_endpoint = FrameEndpoint(
             sim, f"{name}.buffer", up_link, DownstreamFrame, buffer_config,
-            on_payload=self._buffer_payload, on_fail=self._on_fail,
+            on_fail=self._on_fail,
         )
         down_link.connect(self.buffer_endpoint.deliver)
         up_link.connect(self.host_endpoint.deliver)
@@ -703,14 +713,10 @@ class DmiChannel:
         self.buffer = BufferCommandLayer(
             sim, self.buffer_endpoint, buffer_handler, channel_name=name
         )
-
-    def _host_payload(self, frame: Frame) -> None:
-        assert isinstance(frame, UpstreamFrame)
-        self.host.on_upstream(frame)
-
-    def _buffer_payload(self, frame: Frame) -> None:
-        assert isinstance(frame, DownstreamFrame)
-        self.buffer.on_downstream(frame)
+        # each endpoint only receives its frame_in_cls, so it hands accepted
+        # frames straight to its command layer
+        self.host_endpoint.on_payload = self.host.on_upstream
+        self.buffer_endpoint.on_payload = self.buffer.on_downstream
 
     def _on_fail(self, exc: Exception) -> None:
         self.failure = exc

@@ -98,6 +98,11 @@ class SerialLink:
         self.num_lanes = num_lanes
         self.link_clock = link_clock
         self.cdr_capture = cdr_capture
+        #: pipe latency from start-of-serialization to start-of-delivery;
+        #: the capture mode is fixed at construction
+        self.latency_ps = (
+            self.SERDES_BASE_PS + self.FLIGHT_PS + (self.CDR_EXTRA_PS if cdr_capture else 0)
+        )
         self.error_model = error_model or LinkErrorModel()
         self.rng = rng or Rng(0, name)
         self._tx_scrambler = BundleScrambler(num_lanes)
@@ -150,12 +155,6 @@ class SerialLink:
     def frame_wire_ps(self) -> int:
         """Serialization time of one frame: 16 UI at the link rate."""
         return self._frame_wire_ps
-
-    @property
-    def latency_ps(self) -> int:
-        """Pipe latency from start-of-serialization to start-of-delivery."""
-        extra = self.CDR_EXTRA_PS if self.cdr_capture else 0
-        return self.SERDES_BASE_PS + self.FLIGHT_PS + extra
 
     def resync(self) -> None:
         """Reset scrambler state on both ends (start of link training)."""

@@ -7,7 +7,7 @@ from .clock import (
     fabric_clock,
     nest_clock,
 )
-from .event import ScheduledCall, Signal
+from .event import Signal
 from .kernel import Simulator
 from .process import Process, all_of
 from .profile import PROFILE_SCHEMA, KernelProfiler, profiled, write_profile
@@ -19,7 +19,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "Process",
     "Rng",
-    "ScheduledCall",
     "Signal",
     "Simulator",
     "all_of",

@@ -1,61 +1,16 @@
-"""Event primitives for the discrete-event kernel.
+"""The kernel's wake-up primitive.
 
-Two things live here:
-
-* :class:`ScheduledCall` — an entry in the simulator's event queue binding a
-  callback to a simulated timestamp.  Entries are totally ordered by
-  ``(time_ps, seq)`` so simultaneous events run in scheduling order, which
-  keeps runs deterministic.  The kernel stores heap entries as
-  ``(time_ps, seq, call)`` tuples so ``heapq`` sifts compare C integers —
-  :meth:`__lt__` is kept only for direct comparisons in user code.
-* :class:`Signal` — a wake-up point processes can wait on.  A signal can be
-  triggered at most once with an optional value; waiting on an already
-  triggered signal resumes immediately.  This matches the "event" concept in
-  simpy but with a deliberately smaller surface.
+:class:`Signal` is a wake-up point processes can wait on.  A signal can be
+triggered at most once with an optional value; waiting on an already
+triggered signal resumes immediately.  This matches the "event" concept in
+simpy but with a deliberately smaller surface.  Scheduled callbacks are
+not objects at all: the kernel queues them as plain ``(time_ps, seq, fn,
+args)`` tuples (see :mod:`repro.sim.kernel`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List
-
-
-class ScheduledCall:
-    """A callback scheduled at an absolute simulated time.
-
-    Instances are created by :meth:`repro.sim.kernel.Simulator.call_at` and
-    friends; user code normally only keeps them to :meth:`cancel`.
-    """
-
-    __slots__ = ("time_ps", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(
-        self, time_ps: int, seq: int, fn: Callable[..., Any], args: tuple, sim=None
-    ):
-        self.time_ps = time_ps
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        # Back-reference to the owning kernel while the entry is still
-        # queued; the kernel clears it at dispatch so its O(1) live-event
-        # counter only moves for calls actually sitting in the queue.
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when its time arrives."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self._sim
-            if sim is not None:
-                self._sim = None
-                sim._live_events -= 1
-
-    def __lt__(self, other: "ScheduledCall") -> bool:
-        return (self.time_ps, self.seq) < (other.time_ps, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledCall t={self.time_ps}ps {self.fn!r} {state}>"
 
 
 class Signal:

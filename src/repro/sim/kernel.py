@@ -12,11 +12,11 @@ Design notes
   stochastic takes an explicit :class:`repro.sim.rng.Rng`.
 * Processes are plain generators (see :mod:`repro.sim.process`); the kernel
   only knows about scheduled callbacks, keeping the core small and auditable.
-* Heap entries are ``(time_ps, seq, call)`` tuples: ``heapq`` sifts compare
-  C integers instead of calling :meth:`ScheduledCall.__lt__` per swap, and
-  ``seq`` is unique so the call object itself is never compared.  A live
-  (not-yet-cancelled) event counter is maintained O(1) across scheduling,
-  cancellation, and dispatch so :attr:`pending_events` never scans the heap.
+* Heap entries are plain ``(time_ps, seq, fn, args)`` tuples: ``heapq``
+  sifts compare C integers, and ``seq`` is unique so ``fn`` is never
+  compared.  Scheduling returns nothing and an event cannot be cancelled,
+  so every queued entry runs and :attr:`pending_events` is the queue length.
+* :attr:`Simulator.now_ps` is a plain attribute; only the kernel writes it.
 * Every event runs through one dispatch loop, :meth:`Simulator._drive`;
   :meth:`~Simulator.run` and :meth:`~Simulator.run_until_signal` only give
   it a stop signal and a time limit.  Kernel-event tracing and the profiler
@@ -36,7 +36,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..errors import SimulationError
 from ..telemetry import probe
 from . import profile as _profile
-from .event import ScheduledCall, Signal
+from .event import Signal
 
 #: default runaway-loop guard: exactly this many events may execute before
 #: a drive raises :class:`SimulationError`
@@ -47,7 +47,7 @@ DEFAULT_MAX_EVENTS = 50_000_000
 _NEVER = Signal("never")
 
 
-def _event_hook(trace, prof) -> Optional[Callable[[ScheduledCall], None]]:
+def _event_hook(trace, prof) -> Optional[Callable[[int, Callable, tuple], None]]:
     """The per-event hook of one drive, chosen once before it starts.
 
     ``None`` (the loop calls each event directly) unless kernel-event
@@ -58,15 +58,14 @@ def _event_hook(trace, prof) -> Optional[Callable[[ScheduledCall], None]]:
     if prof is None and not trace_events:
         return None
 
-    def hook(call: ScheduledCall) -> None:
-        fn = call.fn
+    def hook(time_ps: int, fn: Callable, args: tuple) -> None:
         if trace_events:
-            trace.instant("kernel", getattr(fn, "__qualname__", "event"), call.time_ps)
+            trace.instant("kernel", getattr(fn, "__qualname__", "event"), time_ps)
         if prof is None:
-            fn(*call.args)
+            fn(*args)
         else:
             t0 = perf_counter()
-            fn(*call.args)
+            fn(*args)
             prof.record(_profile.event_key(fn), perf_counter() - t0)
 
     return hook
@@ -76,56 +75,37 @@ class Simulator:
     """A deterministic discrete-event simulator with picosecond resolution."""
 
     def __init__(self) -> None:
-        self._now_ps = 0
+        #: current simulated time in picoseconds (written only by the kernel)
+        self.now_ps = 0
         self._seq = 0
-        self._queue: List[Tuple[int, int, ScheduledCall]] = []
-        self._live_events = 0
+        self._queue: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         self._running = False
-
-    # -- time ----------------------------------------------------------
-
-    @property
-    def now_ps(self) -> int:
-        """Current simulated time in picoseconds."""
-        return self._now_ps
-
-    @property
-    def now_ns(self) -> float:
-        """Current simulated time in nanoseconds (convenience for reports)."""
-        return self._now_ps / 1_000
 
     # -- scheduling ------------------------------------------------------
 
-    def call_at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
+    def call_at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulated time ``time_ps``."""
-        if time_ps < self._now_ps:
+        if time_ps < self.now_ps:
             raise SimulationError(
-                f"cannot schedule in the past: {time_ps} < now {self._now_ps}"
+                f"cannot schedule in the past: {time_ps} < now {self.now_ps}"
             )
         seq = self._seq
         self._seq = seq + 1
-        call = ScheduledCall(time_ps, seq, fn, args, self)
-        self._live_events += 1
-        heapq.heappush(self._queue, (time_ps, seq, call))
-        return call
+        heapq.heappush(self._queue, (time_ps, seq, fn, args))
 
-    def call_after(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
+    def call_after(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay_ps`` picoseconds from now."""
         if delay_ps < 0:
             raise SimulationError(f"negative delay: {delay_ps}")
         # Inlined call_at (minus the cannot-happen past check): this is the
         # kernel's most-called scheduling entry point.
-        time_ps = self._now_ps + delay_ps
         seq = self._seq
         self._seq = seq + 1
-        call = ScheduledCall(time_ps, seq, fn, args, self)
-        self._live_events += 1
-        heapq.heappush(self._queue, (time_ps, seq, call))
-        return call
+        heapq.heappush(self._queue, (self.now_ps + delay_ps, seq, fn, args))
 
-    def trigger_after(self, delay_ps: int, signal: Signal, value: Any = None) -> ScheduledCall:
+    def trigger_after(self, delay_ps: int, signal: Signal, value: Any = None) -> None:
         """Trigger ``signal`` with ``value`` after ``delay_ps``."""
-        return self.call_after(delay_ps, signal.trigger, value)
+        self.call_after(delay_ps, signal.trigger, value)
 
     # -- execution -------------------------------------------------------
 
@@ -138,14 +118,14 @@ class Simulator:
         do not nest: calling this from an event callback raises.
         """
         trace = probe.session
-        start_ps = self._now_ps
+        start_ps = self.now_ps
         limit = math.inf if until_ps is None else until_ps
         executed = self._drive(_NEVER, limit, max_events, trace)
-        if until_ps is not None and self._now_ps < until_ps:
-            self._now_ps = until_ps
+        if until_ps is not None and self.now_ps < until_ps:
+            self.now_ps = until_ps
         if trace is not None:
             trace.complete(
-                "kernel", "run", start_ps, self._now_ps, {"events": executed}
+                "kernel", "run", start_ps, self.now_ps, {"events": executed}
             )
             trace.count("kernel.runs")
             trace.count("kernel.events", executed)
@@ -166,7 +146,7 @@ class Simulator:
         Like :meth:`run`, it raises when called from an event callback.
         """
         trace = probe.session
-        start_ps = self._now_ps
+        start_ps = self.now_ps
         limit = math.inf if timeout_ps is None else start_ps + timeout_ps
         executed = self._drive(signal, limit, max_events, trace)
         if not signal.triggered:
@@ -179,7 +159,7 @@ class Simulator:
             )
         if trace is not None:
             trace.complete(
-                "kernel", "run_until_signal", start_ps, self._now_ps,
+                "kernel", "run_until_signal", start_ps, self.now_ps,
                 {"signal": signal.name, "events": executed},
             )
             trace.count("kernel.signal_waits")
@@ -190,11 +170,10 @@ class Simulator:
         """The one dispatch loop behind :meth:`run` and :meth:`run_until_signal`.
 
         Executes events in ``(time_ps, seq)`` order until ``stop`` fires,
-        the queue drains, or the next live event lies past ``limit``, and
-        returns how many ran.  Cancelled heads are discarded before the
-        limit check, so one can never shadow a live event past the limit.
-        The loop owns the running flag, so no drive can start inside
-        another, and the flag clears however the drive ends.
+        the queue drains, or the next event lies past ``limit``, and
+        returns how many ran.  The loop owns the running flag, so no drive
+        can start inside another, and the flag clears however the drive
+        ends.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -208,24 +187,18 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while not stop._triggered and queue:
-                time_ps, _, call = queue[0]
-                if call.cancelled:
-                    heappop(queue)
-                    continue
-                if time_ps > limit:
+                if queue[0][0] > limit:
                     break
                 if executed >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a scheduling loop"
                     )
-                heappop(queue)
-                call._sim = None
-                self._live_events -= 1
-                self._now_ps = time_ps
+                time_ps, _, fn, args = heappop(queue)
+                self.now_ps = time_ps
                 if hook is None:
-                    call.fn(*call.args)
+                    fn(*args)
                 else:
-                    hook(call)
+                    hook(time_ps, fn, args)
                 executed += 1
         finally:
             self._running = False
@@ -233,5 +206,5 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events in the queue (O(1))."""
-        return self._live_events
+        """Number of events still queued."""
+        return len(self._queue)

@@ -11,6 +11,10 @@ is active (it is a context manager), instrumented components emit:
 * **metrics** — named counters/gauges/histograms in the session's
   :class:`~repro.telemetry.registry.MetricsRegistry`.
 
+A session stores at most ``max_events`` spans and instants; past the cap
+each one is only counted, inline, so a dropped span costs the one call
+that emitted it (campaign workers run ``max_events=0``).
+
 Nothing here touches the simulator: call sites pass ``sim.now_ps``
 explicitly, which keeps this package import-safe from every layer
 (``repro.sim`` imports telemetry, never the other way around).
@@ -36,7 +40,7 @@ from .attribution import (
     session_attribution_records,
 )
 from .chrome import to_chrome_events, truncation_marker, write_chrome_trace
-from .metrics import Counter
+from .metrics import Counter, Histogram
 from .registry import MetricsRegistry
 
 #: default cap on stored trace events; beyond it events are counted but
@@ -89,8 +93,11 @@ class TraceSession:
         self.registry = registry or MetricsRegistry()
         for core in CORE_COUNTERS:
             self.registry.counter(core)
-        # bound once: span-capped sessions (campaign workers run
-        # max_events=0) route EVERY span through _drop_event
+        # An over-cap span or instant is counted inline in two places:
+        # locally for the exporter's truncation marker, and in the registry
+        # so the loss survives into snapshots (and campaign merges).  Bound
+        # once: span-capped sessions (campaign workers run max_events=0)
+        # drop EVERY span.
         self._dropped_counter = self.registry.counter("telemetry.dropped_events")
         self.events: List[TraceEvent] = []
         self.dropped_events = 0
@@ -137,7 +144,8 @@ class TraceSession:
     ) -> None:
         """Record a bounded span [start_ps, end_ps] in simulated time."""
         if len(self.events) >= self.max_events:
-            self._drop_event()
+            self.dropped_events += 1
+            self._dropped_counter.count += 1
             return
         self.events.append(
             TraceEvent("X", category, name, start_ps, max(0, end_ps - start_ps), args)
@@ -152,16 +160,10 @@ class TraceSession:
     ) -> None:
         """Record a point event at ``ts_ps``."""
         if len(self.events) >= self.max_events:
-            self._drop_event()
+            self.dropped_events += 1
+            self._dropped_counter.count += 1
             return
         self.events.append(TraceEvent("i", category, name, ts_ps, None, args))
-
-    def _drop_event(self) -> None:
-        """Count an over-cap event: locally for the exporter's truncation
-        marker, and in the registry so the loss survives into snapshots
-        (and campaign merges) even when the events themselves are gone."""
-        self.dropped_events += 1
-        self._dropped_counter.add()
 
     # -- metric shortcuts ---------------------------------------------------
 
@@ -179,7 +181,12 @@ class TraceSession:
         self.registry.gauge(name).set(value)
 
     def record(self, name: str, value: float) -> None:
-        self.registry.histogram(name).record(value)
+        # the same dict-hit fast path as count()
+        metric = self.registry._metrics.get(name)
+        if metric is not None and metric.__class__ is Histogram:
+            metric.record(value)
+        else:
+            self.registry.histogram(name).record(value)
 
     # -- snapshots ----------------------------------------------------------
 

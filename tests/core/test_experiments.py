@@ -14,10 +14,25 @@ from repro import (
     run_table1,
     run_table2,
     run_table3,
+    run_table4,
     run_table5,
 )
 from repro.core import calibration as cal
-from repro.core.experiment import measure_contutto_latencies
+from repro.core.experiment import measure_contutto_latencies, run_fio_matrix
+from repro.dmi import DOWN_LANES, UP_LANES
+
+
+@pytest.fixture(scope="module")
+def fio():
+    """Figures 9 and 10 from one FIO matrix, keyed by store.
+
+    Returns ``(iops, latency)``; each maps a store to its (read, write)
+    pair.
+    """
+    fig9, fig10 = run_fio_matrix(ios=24)
+    iops = {row[0]: (row[1], row[2]) for row in fig9.rows}
+    latency = {row[0]: (row[1], row[2]) for row in fig10.rows}
+    return iops, latency
 
 
 class TestTable1:
@@ -119,6 +134,115 @@ class TestFigure8:
                              table.column("Lifetime @10GB/s into 256MB")))
         assert "hours" in lifetimes["nand_mlc"] or "s" in lifetimes["nand_mlc"]
         assert "years" in lifetimes["stt_mram"]
+
+
+class TestTable4:
+    @pytest.fixture(scope="class")
+    def iops(self):
+        """(HDD, SSD, STT-MRAM on ConTutto) small-write IOPS."""
+        table = run_table4(writes=20)
+        return tuple(
+            table.cell("Technology", name, "IOPS")
+            for name in ("Hard Disk Drive", "SSD", "STT-MRAM (ConTutto)")
+        )
+
+    def test_iops_near_paper(self, iops):
+        hdd, ssd, mram = iops
+        assert 50 <= hdd <= 120, f"HDD {hdd:.0f} IOPS vs paper 75"
+        assert 10_000 <= ssd <= 20_000, f"SSD {ssd:.0f} IOPS vs paper 15K"
+        assert 90_000 <= mram <= 180_000, f"MRAM {mram:.0f} IOPS vs paper 125K"
+
+    def test_mram_over_ssd(self, iops):
+        hdd, ssd, mram = iops
+        assert hdd < ssd < mram
+        assert 6 <= mram / ssd <= 12, (
+            f"MRAM/SSD = {mram / ssd:.1f}x vs paper {cal.TABLE4_MRAM_OVER_SSD}x"
+        )
+
+
+class TestFigure9:
+    """FIO IOPS across technologies and attach points."""
+
+    def test_read_iops_ordering(self, fio):
+        iops, _ = fio
+        # flash-PCIe < NVRAM-PCIe < MRAM-PCIe < ConTutto attaches
+        reads = [iops[n][0] for n in (
+            "flash_x4_pcie", "nvram_pcie", "mram_pcie", "mram_contutto"
+        )]
+        assert reads == sorted(reads)
+
+    def test_mram_contutto_vs_nvram_pcie(self, fio):
+        iops, _ = fio
+        # paper: 4.5x read / 6.2x write
+        assert 3.0 <= iops["mram_contutto"][0] / iops["nvram_pcie"][0] <= 9.0
+        assert 4.0 <= iops["mram_contutto"][1] / iops["nvram_pcie"][1] <= 9.5
+
+    def test_nvdimm_contutto_vs_nvram_pcie(self, fio):
+        iops, _ = fio
+        # paper: 6.5x read / 7.5x write
+        assert 4.5 <= iops["nvdimm_contutto"][0] / iops["nvram_pcie"][0] <= 10.0
+        assert 5.0 <= iops["nvdimm_contutto"][1] / iops["nvram_pcie"][1] <= 11.0
+
+    def test_attach_point_alone(self, fio):
+        iops, _ = fio
+        # same technology, better attach point (paper: 1.5x read)
+        assert 1.2 <= iops["mram_contutto"][0] / iops["mram_pcie"][0] <= 3.5
+
+
+class TestFigure10:
+    """FIO latency across technologies and attach points."""
+
+    def test_read_latency_ordering(self, fio):
+        _, lat = fio
+        # the IOPS ordering reversed
+        reads = [lat[n][0] for n in (
+            "mram_contutto", "mram_pcie", "nvram_pcie", "flash_x4_pcie"
+        )]
+        assert reads == sorted(reads)
+
+    def test_mram_contutto_vs_nvram_pcie(self, fio):
+        _, lat = fio
+        # paper: 6.6x read / 15x write
+        assert 5.0 <= lat["nvram_pcie"][0] / lat["mram_contutto"][0] <= 9.5
+        assert 10.0 <= lat["nvram_pcie"][1] / lat["mram_contutto"][1] <= 20.0
+
+    def test_nvdimm_contutto_vs_nvram_pcie(self, fio):
+        _, lat = fio
+        # paper: 7.5x read / 12.5x write, the abstract's headline
+        assert 5.5 <= lat["nvram_pcie"][0] / lat["nvdimm_contutto"][0] <= 10.5
+        assert 9.0 <= lat["nvram_pcie"][1] / lat["nvdimm_contutto"][1] <= 19.0
+
+    def test_attach_point_alone(self, fio):
+        _, lat = fio
+        # paper: 2.4x read / 5x write
+        assert 1.8 <= lat["mram_pcie"][0] / lat["mram_contutto"][0] <= 3.6
+        assert 3.0 <= lat["mram_pcie"][1] / lat["mram_contutto"][1] <= 7.0
+
+
+class TestAbstractClaims:
+    """ "...aggregate memory channel speeds of 35 GB/s per link ... up to
+    12.5x lower latency and 7.5x higher bandwidth compared to the
+    respective technologies when attached to the PCIe bus." """
+
+    def test_aggregate_link_bandwidth(self):
+        # 14 + 21 lanes at 8 Gb/s each
+        assert (DOWN_LANES + UP_LANES) * 8 / 8 == 35.0
+
+    def test_up_to_12_5x_lower_latency(self, fio):
+        _, lat = fio
+        best = max(
+            lat["nvram_pcie"][1] / lat["nvdimm_contutto"][1],  # NVDIMM class
+            lat["mram_pcie"][1] / lat["mram_contutto"][1],     # MRAM class
+        )
+        assert 9.0 <= best <= 20.0
+
+    def test_up_to_7_5x_higher_iops(self, fio):
+        iops, _ = fio
+        best = max(
+            iops["nvdimm_contutto"][1] / iops["nvram_pcie"][1],
+            iops["mram_contutto"][1] / iops["mram_pcie"][1],
+        )
+        assert 5.0 <= best <= 11.0
 
 
 class TestTable5:

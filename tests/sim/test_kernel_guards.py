@@ -8,11 +8,8 @@ whole matrix:
 
 * exactly ``max_events`` events execute before the runaway error raises,
   never one more;
-* a cancelled heap head inside the limit must not let the next *live*
-  event run past it (it used to, in ``run_until_signal``'s deadline
-  check);
-* cancelled events are neither traced nor timed, the profiler counts one
-  run per drive, and ``kernel.events`` counts exactly the events run.
+* no event past the limit runs, the profiler counts one run per drive,
+  and ``kernel.events`` counts exactly the events run.
 
 Drives do not nest: a drive started from an event callback raises, and a
 drive that raised leaves the kernel ready for the next one.
@@ -87,37 +84,12 @@ class TestHookMatrix:
             assert prof.events == 50
             assert prof.runs == 1
 
-    def test_cancelled_head_never_shadows_the_limit(self, kind, mode):
-        sim = Simulator()
-        sig = Signal("late")
-        seen = []
-        sim.call_after(500, seen.append, "dead").cancel()
-        sim.trigger_after(5_000, sig)  # live, past the limit
-        with hooks(mode) as (session, prof):
-            if kind == "run":
-                assert sim.run(until_ps=1_000) == 0
-                assert sim.now_ps == 1_000
-            else:
-                with pytest.raises(SimulationError, match="timeout"):
-                    sim.run_until_signal(sig, timeout_ps=1_000)
-                assert sim.now_ps == 0
-        assert not sig.triggered  # the live event never executed
-        assert seen == []
-        assert sim.pending_events == 1
-        assert instants(session) == 0
-        if prof is not None:
-            assert prof.events == 0
-            assert prof.runs == 1
-
     def test_only_live_events_run_and_count(self, kind, mode):
         sim = Simulator()
         sig = Signal("done")
         seen = []
-        sim.call_after(100, seen.append, "dead").cancel()
         sim.call_after(200, seen.append, "live")
-        sim.call_after(300, seen.append, "dead").cancel()
         sim.trigger_after(400, sig)
-        sim.call_after(600, seen.append, "dead").cancel()
         sim.call_after(5_000, seen.append, "late")  # past the limit
         with hooks(mode) as (session, prof):
             drive(sim, kind, sig, 1_000)
@@ -135,24 +107,20 @@ class TestHookMatrix:
 def replay(schedule, until_ps, signal_at, timeout_ps, mode):
     """Three drives over one random schedule; returns everything observable.
 
-    Each ``(delay, respawns, cancelled)`` entry schedules a callback that
-    logs itself, cancels one earlier call (live or not) and reschedules
-    itself ``respawns`` more times, so the queue always drains.
+    Each ``(delay, respawns)`` entry schedules a callback that logs itself
+    and reschedules itself ``respawns`` more times, so the queue always
+    drains.
     """
     sim = Simulator()
     order = []
-    calls = []
 
     def fire(label, respawns):
         order.append((label, sim.now_ps))
         if respawns:
-            calls[(label * 7 + respawns) % len(calls)].cancel()
-            calls.append(sim.call_after(3 * respawns, fire, label, respawns - 1))
+            sim.call_after(3 * respawns, fire, label, respawns - 1)
 
-    for label, (delay, respawns, cancelled) in enumerate(schedule):
-        calls.append(sim.call_after(delay, fire, label, respawns))
-        if cancelled:
-            calls[-1].cancel()
+    for label, (delay, respawns) in enumerate(schedule):
+        sim.call_after(delay, fire, label, respawns)
     sig = Signal("mid")
     sim.trigger_after(signal_at, sig)
     observed = []
@@ -175,7 +143,7 @@ def replay(schedule, until_ps, signal_at, timeout_ps, mode):
 @settings(deadline=None)
 @given(
     schedule=st.lists(
-        st.tuples(st.integers(0, 60), st.integers(0, 3), st.booleans()),
+        st.tuples(st.integers(0, 60), st.integers(0, 3)),
         min_size=1, max_size=25,
     ),
     until_ps=st.integers(0, 80),
@@ -189,23 +157,13 @@ def test_hook_modes_dispatch_identically(schedule, until_ps, signal_at, timeout_
 
 
 class TestSignalDeadline:
-    def test_deadline_ignores_cancelled_head(self):
-        # a cancelled event *inside* the deadline must not mask a live
-        # event *beyond* it
-        sim = Simulator()
-        sig = Signal("late")
-        sim.call_after(500, lambda: None).cancel()
-        sim.trigger_after(5_000, sig)
-        with pytest.raises(SimulationError, match="timeout"):
-            sim.run_until_signal(sig, timeout_ps=1_000)
-        assert not sig.triggered  # the live event never executed
-
     def test_live_event_inside_deadline_still_runs(self):
         sim = Simulator()
         sig = Signal("ok")
-        sim.call_after(500, lambda: None).cancel()
+        sim.call_after(500, lambda: None)
         sim.trigger_after(800, sig, "v")
         assert sim.run_until_signal(sig, timeout_ps=1_000) == "v"
+        assert sim.now_ps == 800
 
     def test_signal_max_events_guard(self):
         sim = Simulator()
@@ -220,18 +178,6 @@ class TestSignalDeadline:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run_until_signal(sig, max_events=50)
         assert len(executed) == 50
-
-    def test_only_cancelled_left_after_max_events_is_a_deadlock(self):
-        # Documented edge: once max_events events have run and only
-        # cancelled entries remain, no further event is due, so the wait
-        # reports a deadlock rather than a runaway loop.
-        sim = Simulator()
-        sim.call_after(10, lambda: None)
-        sim.call_after(20, lambda: None)
-        sim.call_after(30, lambda: None).cancel()
-        with pytest.raises(SimulationError, match="deadlock"):
-            sim.run_until_signal(Signal("never"), max_events=2)
-        assert sim.now_ps == 20
 
 
 class TestExactMaxEvents:

@@ -38,26 +38,17 @@ from .programs import (
 )
 from .memcopy import KERNEL_MEMCOPY, MemcopyEngine
 from .minmax import KERNEL_MINMAX, MinMaxEngine
-from .scheduler import (
-    EQUAL_SPLIT,
-    HOST_PRIORITY,
-    BandwidthArbiter,
-    SharePolicy,
-)
 from .software_baseline import SoftwareBaselines, SoftwareMachine
 
 __all__ = [
     "AccessProcessor",
     "BLOCK_BYTES",
-    "BandwidthArbiter",
     "BlockAccelerator",
     "CONTROL_BLOCK_BYTES",
     "ControlBlock",
     "DMA_CHUNK_BYTES",
-    "EQUAL_SPLIT",
     "FFT_POINTS",
     "FftEngineFarm",
-    "HOST_PRIORITY",
     "InlineAccelClient",
     "Instruction",
     "KERNEL_FFT",
@@ -72,7 +63,6 @@ __all__ = [
     "STATUS_ERROR",
     "STATUS_IDLE",
     "STATUS_RUNNING",
-    "SharePolicy",
     "SoftwareBaselines",
     "SoftwareMachine",
     "INSTRUCTION_BYTES",

@@ -125,9 +125,6 @@ class AccessProcessor:
         """Contents of a thread's DMA stream buffer (for accelerators)."""
         return self._stream_buffers.get(thread_id, b"")
 
-    def set_stream_buffer(self, thread_id: int, data: bytes) -> None:
-        self._stream_buffers[thread_id] = data
-
     # -- execution ----------------------------------------------------------------
 
     def run(self, threads: int = 1, initial_regs: Optional[Dict[int, Dict[int, int]]] = None) -> Process:

@@ -41,9 +41,6 @@ class SoftwareBaselines:
         """memcpy() of a large block: ~3.2 GB/s of payload copied."""
         return self.machine.copy_bytes_per_cycle * self.machine.core_freq_ghz
 
-    def memcopy_time_s(self, nbytes: int) -> float:
-        return nbytes / (self.memcopy_gb_s() * 1e9)
-
     # -- min/max scan -----------------------------------------------------------
 
     def minmax_gb_s(self) -> float:
@@ -52,9 +49,6 @@ class SoftwareBaselines:
             self.machine.minmax_elements_per_cycle * self.machine.core_freq_ghz * 1e9
         )
         return elements_per_s * 4 / 1e9
-
-    def minmax_time_s(self, nbytes: int) -> float:
-        return nbytes / (self.minmax_gb_s() * 1e9)
 
     # -- FFT ----------------------------------------------------------------------
 
@@ -65,6 +59,3 @@ class SoftwareBaselines:
         butterflies_per_sample = math.log2(points) / 2
         cycles_per_sample = butterflies_per_sample * self.machine.fft_cycles_per_butterfly
         return self.machine.core_freq_ghz / cycles_per_sample
-
-    def fft_time_s(self, num_samples: int, points: int = 1024) -> float:
-        return num_samples / (self.fft_gsamples_s(points) * 1e9)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..telemetry import probe
@@ -148,17 +148,6 @@ class BufferCache:
         """Mark a line just filled as prefetched (for accuracy stats)."""
         self.prefetches_issued += 1
         self._prefetched_tags.add(self._index(addr))
-
-    def drain_dirty(self) -> List[Tuple[int, bytes]]:
-        """Remove and return every dirty line (flush path)."""
-        out = []
-        for set_no, assoc_set in enumerate(self._sets):
-            for tag in list(assoc_set):
-                line = assoc_set[tag]
-                if line.dirty:
-                    out.append((self._line_addr(set_no, tag), line.data))
-                    line.dirty = False
-        return out
 
     @property
     def hit_rate(self) -> float:

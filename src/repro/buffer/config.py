@@ -19,7 +19,7 @@ latency (host path + DMI + Centaur + DDR3) reproduces the table; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..units import ns_to_ps
 
@@ -41,9 +41,6 @@ class CentaurConfig:
     prefetch_enabled: bool = True
     #: eDRAM cache hit latency
     cache_hit_ps: int = 5_000
-
-    def with_extra_delay(self, extra_ps: int, name: str = "") -> "CentaurConfig":
-        return replace(self, extra_delay_ps=extra_ps, name=name or self.name)
 
 
 #: Table 2 presets.  extra_delay deltas track the measured latency deltas

@@ -158,10 +158,6 @@ class ResultCache:
                 pass
             raise
 
-    def __contains__(self, job: CampaignJob) -> bool:
-        payload, _ = self._paths(self.key_for(job))
-        return payload.exists()
-
     def contains(self, job: CampaignJob, mode: str = "journeys") -> bool:
         payload, _ = self._paths(self.key_for(job, mode))
         return payload.exists()

@@ -89,9 +89,8 @@ _SPECS: List[ExperimentSpec] = [
     # because a lone shard is half a result (the merge computes queueing)
     ExperimentSpec(
         "service_shard", run_service_shard,
-        {"schedule": "", "shard": 0, "shards": 1, "repetition": 0,
-         "calib_samples": 24},
-        hidden=True, paper=False, supports_faults=True,
+        {"schedule": "", "shard": 0, "shards": 1, "repetition": 0},
+        hidden=True, paper=False,
     ),
     # shared service calibration (docs/service.md) — one job per
     # run_service.py invocation; its table becomes the profiles artifact

@@ -8,7 +8,6 @@ the accompanying text are recorded instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 # -- Table 1: FPGA resource utilization ------------------------------------
@@ -120,15 +119,3 @@ TABLE5_PORT_BANDWIDTH_GB_S = (10.0, 12.0)
 ABSTRACT_MAX_LATENCY_IMPROVEMENT_X = 12.5
 ABSTRACT_MAX_IOPS_IMPROVEMENT_X = 7.5
 DMI_AGGREGATE_GB_S = 35  # 14 + 21 lanes at 8 Gb/s
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """How close a reproduction must come to a paper value."""
-
-    relative: float = 0.25
-
-    def check(self, measured: float, expected: float) -> bool:
-        if expected == 0:
-            return measured == 0
-        return abs(measured - expected) / abs(expected) <= self.relative

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..errors import ProtocolError, TagExhaustedError
+from ..errors import ProtocolError
 from ..sim import Signal, Simulator
 
 NUM_TAGS = 32
@@ -53,15 +53,6 @@ class TagPool:
         self.total_acquired += 1
         return tag
 
-    def acquire_or_raise(self) -> int:
-        """Take a free tag; raise :class:`TagExhaustedError` if none is free."""
-        tag = self.try_acquire()
-        if tag is None:
-            raise TagExhaustedError(
-                f"all {self.num_tags} tags in flight at t={self.sim.now_ps}ps"
-            )
-        return tag
-
     def acquire(self):
         """Process-style acquire: generator yielding until a tag frees up.
 
@@ -90,9 +81,3 @@ class TagPool:
             # Wake exactly one waiter per freed tag to avoid thundering herds.
             self._waiters.pop(0).trigger()
         return self.sim.now_ps - issued_at
-
-    def held_since(self, tag: int) -> int:
-        """Issue timestamp of an in-flight tag."""
-        if tag not in self._in_flight:
-            raise ProtocolError(f"tag {tag} is not in flight")
-        return self._in_flight[tag]

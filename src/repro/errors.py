@@ -32,16 +32,8 @@ class ProtocolError(ReproError):
     """A DMI protocol invariant was violated (bad tag, bad sequence, ...)."""
 
 
-class CrcError(ProtocolError):
-    """A frame failed its CRC check (normally handled by replay)."""
-
-
 class ReplayError(ProtocolError):
     """Frame replay could not recover the channel."""
-
-
-class TagExhaustedError(ProtocolError):
-    """All 32 host command tags are in flight and another issue was forced."""
 
 
 class TelemetryError(ReproError, ValueError):

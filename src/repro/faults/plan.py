@@ -101,10 +101,6 @@ class FaultSpec:
                 return v
         return default
 
-    @property
-    def params_dict(self) -> Dict[str, object]:
-        return dict(self.params)
-
     def fire_times(self, seed: int) -> List[int]:
         """The relative fire times this spec's schedule compiles to."""
         if self.schedule == "once":

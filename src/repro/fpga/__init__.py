@@ -14,7 +14,7 @@ from .command_engine import (
     CommandEngine,
     EnginePool,
 )
-from .contutto import ACCEL_WINDOW_BASE, NUM_DIMM_SLOTS, ConTuttoBuffer
+from .contutto import NUM_DIMM_SLOTS, ConTuttoBuffer
 from .latency_knob import CYCLES_PER_POSITION, MAX_POSITION, LatencyKnob
 from .mbs import MbsLogic
 from .pcie_link import LINK_CHUNK_BYTES, CardToCardLink
@@ -37,7 +37,6 @@ from .timing import (
 
 __all__ = [
     "ACCEL_BLOCK_COSTS",
-    "ACCEL_WINDOW_BASE",
     "AvalonBus",
     "AvalonPort",
     "BASE_BLOCK_COSTS",

@@ -97,10 +97,6 @@ class AvalonBus:
                 return win.slave, addr - win.base
         raise AddressRangeError(f"{self.name}: no slave at address {addr:#x}")
 
-    @property
-    def mapped_bytes(self) -> int:
-        return sum(win.size for win in self._windows)
-
     # -- transfers ---------------------------------------------------------------
 
     def read(

@@ -10,8 +10,7 @@ Composes the FPGA logic of Figure 4 into a drop-in
 * an Avalon bus with one DDR3 memory controller per populated DIMM slot
   (two slots on the card), lines interleaved across slots;
 * optional in-line acceleration (augmented command engines implementing
-  min-store / max-store / conditional-swap) and room for block accelerators
-  as additional Avalon slaves;
+  min-store / max-store / conditional-swap);
 * resource accounting that reproduces Table 1 for the base design.
 
 The FPGA intentionally omits Centaur's 16 MB cache and auxiliary functions
@@ -21,7 +20,7 @@ Centaur chip" — so there is no cache here by design.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..buffer.base import MemoryBuffer, RespondFn
 from ..dmi.commands import Command, Opcode
@@ -33,17 +32,10 @@ from ..units import CACHE_LINE_BYTES
 from .avalon import AvalonBus
 from .latency_knob import LatencyKnob
 from .mbs import MbsLogic
-from .resources import (
-    ACCEL_BLOCK_COSTS,
-    DesignResources,
-    base_design_resources,
-)
+from .resources import DesignResources, base_design_resources
 from .timing import SHIPPING_TIMING, FpgaTimingConfig, TimingClosure
 
 NUM_DIMM_SLOTS = 2
-
-#: Avalon address where accelerator MMIO windows begin (above any DIMM space)
-ACCEL_WINDOW_BASE = 1 << 40
 
 
 class ConTuttoBuffer(MemoryBuffer):
@@ -106,8 +98,6 @@ class ConTuttoBuffer(MemoryBuffer):
             inline_accel=inline_accel,
             name=f"{name}.mbs",
         )
-        self._accel_blocks: List[str] = []
-        self._next_accel_base = ACCEL_WINDOW_BASE
 
     # -- address interleave -----------------------------------------------------
 
@@ -150,29 +140,10 @@ class ConTuttoBuffer(MemoryBuffer):
             self.freeze_workaround,
         )
 
-    # -- accelerator integration -------------------------------------------------
-
-    def attach_accelerator(self, slave: object, window_bytes: int, block: str, name: str = "") -> int:
-        """Map an accelerator as a new Avalon slave; returns its base address.
-
-        ``block`` names the resource-cost entry (e.g. ``"fft_engine"``) so
-        the addition shows up in — and must fit — the FPGA resource budget.
-        """
-        if block not in ACCEL_BLOCK_COSTS:
-            raise ConfigurationError(f"unknown accelerator block {block!r}")
-        base = self._next_accel_base
-        self.avalon.add_slave(base, window_bytes, slave, name=name or block)
-        self._accel_blocks.append(block)
-        self.resources()  # raises if the addition no longer fits the part
-        self._next_accel_base = base + window_bytes
-        return base
-
     # -- resources (Table 1) --------------------------------------------------------
 
     def resources(self) -> DesignResources:
         design = base_design_resources()
         if self.inline_accel:
             design.add("inline_accel_ext")
-        for block in self._accel_blocks:
-            design.add(block)
         return design

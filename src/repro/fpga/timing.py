@@ -120,10 +120,6 @@ class TimingClosure:
         """The buffer-internal part of the frame round trip."""
         return self.rx_overhead_ps() + self.tx_overhead_ps()
 
-    def nest_cycles_per_stage(self, nest_period_ps: int = 500) -> int:
-        """How many 2 GHz memory-bus cycles one fabric stage costs (=8)."""
-        return self.clock.period_ps // nest_period_ps
-
 
 #: the shipping configuration: 2-stage CRC, FIFO bypassed, both physical
 #: optimizations applied — the only combination that meets both constraints

@@ -279,11 +279,6 @@ class DdrDram(MemoryDevice):
 
     # -- diagnostics -----------------------------------------------------------
 
-    @property
-    def row_buffer_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses + self.row_conflicts
-        return self.row_hits / total if total else 0.0
-
     def banks_busy(self, now_ps: int) -> int:
         """Banks still serving (or recovering from) an access at ``now_ps``."""
         return sum(1 for bank in self._banks if bank.ready_ps > now_ps)

@@ -14,7 +14,7 @@ line) so long simulations can enforce — or just report — cell wear-out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..errors import EnduranceExceededError
 
@@ -103,15 +103,3 @@ class WearTracker:
     def wear_of(self, addr: int) -> int:
         """Write cycles consumed by the unit containing ``addr``."""
         return self._wear.get(addr // self.unit_bytes, 0)
-
-    def max_wear(self) -> int:
-        return max(self._wear.values(), default=0)
-
-    def remaining_fraction(self, addr: int) -> float:
-        """Fraction of rated endurance left for the unit containing ``addr``."""
-        return max(0.0, 1.0 - self.wear_of(addr) / self.spec.cycles)
-
-    def hottest_units(self, n: int = 5) -> List[Tuple[int, int]]:
-        """The ``n`` most-written units as (unit, cycles), hottest first."""
-        ranked = sorted(self._wear.items(), key=lambda kv: kv[1], reverse=True)
-        return ranked[:n]

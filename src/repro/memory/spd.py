@@ -40,10 +40,6 @@ class SpdData:
     vendor: str = "GEN"       # 3-character vendor tag
     contents_preserved: bool = False  # NVM with valid saved image
 
-    @property
-    def is_non_volatile(self) -> bool:
-        return self.module_type in ("mram", "nvdimm", "nand")
-
     def encode(self) -> bytes:
         """Pack into the 16-byte on-EEPROM layout (with checksum)."""
         if self.module_type not in _MODULE_TYPES:

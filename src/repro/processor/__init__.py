@@ -1,13 +1,5 @@
-"""POWER8 host side: socket, host memory controller, caches, CPU model."""
+"""POWER8 host side: socket, host memory controller, memory map, CPU model."""
 
-from .caches import (
-    POWER8_HIERARCHY,
-    POWER8_L1D,
-    POWER8_L2,
-    POWER8_L3,
-    CacheHierarchy,
-    CacheLevel,
-)
 from .cpu_model import CpuModel, WorkloadProfile
 from .host_mc import HostMemoryController
 from .memmap import (
@@ -24,8 +16,6 @@ from .power8 import (
 )
 
 __all__ = [
-    "CacheHierarchy",
-    "CacheLevel",
     "ChannelSlot",
     "CpuModel",
     "HostMemoryController",
@@ -33,10 +23,6 @@ __all__ = [
     "MemoryMap",
     "MemoryRegion",
     "NUM_DMI_CHANNELS",
-    "POWER8_HIERARCHY",
-    "POWER8_L1D",
-    "POWER8_L2",
-    "POWER8_L3",
     "Power8Socket",
     "SocketConfig",
     "TOP_OF_MAP",

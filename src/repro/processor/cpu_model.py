@@ -101,11 +101,3 @@ class CpuModel:
         base = self.runtime_s(profile, base_latency_ns)
         new = self.runtime_s(profile, new_latency_ns)
         return new / base - 1.0
-
-    def memory_stall_fraction(
-        self, profile: WorkloadProfile, memory_latency_ns: float
-    ) -> float:
-        """Fraction of runtime that is exposed memory stall."""
-        total = self.cpi(profile, memory_latency_ns)
-        stall = profile.sensitivity * self.latency_cycles(memory_latency_ns)
-        return stall / total

@@ -7,7 +7,8 @@ these rules:
   address 0 (Linux requires DRAM at the start of the map);
 * non-volatile regions (MRAM, NVDIMM) are placed at the *top* of the map,
   tagged with their type and a contents-preserved flag so Linux can bind
-  them to the right drivers (pmem / slram) instead of the page allocator;
+  them to a persistent-memory driver (``storage.pmem``) instead of the
+  page allocator;
 * MRAM capacities are megabytes, but the smallest size POWER8 supports
   behind a DMI link is 4 GB — firmware "lies" to the processor, reserving a
   4 GB hardware window while reporting only the true size to Linux.
@@ -15,8 +16,8 @@ these rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from ..errors import ConfigurationError, FirmwareError
 from ..units import GIB

@@ -16,8 +16,8 @@ terminated by a memory buffer — Centaur or ConTutto.  The socket:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..buffer.base import MemoryBuffer
 from ..dmi import (
@@ -273,12 +273,3 @@ class Power8Socket:
             self.sim.run_until_signal(self.read_line(addr), timeout_ps=10**12)
             total_ps += self.sim.now_ps - t0
         return total_ps / samples / 1_000
-
-    # -- diagnostics --------------------------------------------------------------------
-
-    @property
-    def populated_channels(self) -> List[int]:
-        return sorted(self.slots)
-
-    def total_capacity_bytes(self) -> int:
-        return sum(slot.buffer.capacity_bytes for slot in self.slots.values())

@@ -11,9 +11,7 @@ Each shard worker:
 2. deserializes the shared calibration artifact riding in its
    ``profiles`` kwarg — one profile per class, reused by every
    ``(repetition, shard)`` job, so an R-repetition S-shard run performs
-   one calibration instead of R × S (without ``profiles`` it falls back
-   to self-calibrating with seeds derived from ``(repetition seed,
-   class name)``, the pre-artifact behavior);
+   one calibration instead of R × S;
 3. draws every assigned request's service demand from its class profile
    with a per-request rng seeded by the **global** request index.
 
@@ -66,12 +64,12 @@ def draw_demand(
 
 
 def calibrate_classes(
-    classes, samples: int, repetition_seed: int, plan: Optional[FaultPlan]
+    classes, samples: int, seed: int, plan: Optional[FaultPlan]
 ) -> Dict[str, ServiceProfile]:
-    """Profiles for ``classes``, each seeded by (repetition, class) only."""
+    """Profiles for ``classes``, each seeded by (``seed``, class) only."""
     return {
         klass: calibrate(
-            klass, samples, derive_seed(repetition_seed, f"class.{klass}"), plan
+            klass, samples, derive_seed(seed, f"class.{klass}"), plan
         )
         for klass in sorted(set(classes))
     }
@@ -146,21 +144,18 @@ def run_service_shard(
     shard: int = 0,
     shards: int = 1,
     repetition: int = 0,
-    calib_samples: int = 24,
-    profiles: Optional[str] = None,
-    faults: Optional[str] = None,
+    profiles: str = "",
     seed: int = 0,
 ) -> ResultTable:
     """Campaign experiment: demands of one shard of one repetition.
 
     ``schedule`` is the canonical schedule JSON (it rides in job kwargs
     so the result cache keys on schedule content).  ``profiles`` is the
-    shared calibration artifact as canonical JSON — when present the
-    worker never touches the simulator; when absent it self-calibrates
-    per repetition (the legacy path, kept for direct invocation).
-    Returns a :class:`ResultTable` with one row per assigned request —
-    plain data, so it pickles across the pool boundary and caches like
-    any other experiment result.
+    shared calibration artifact as canonical JSON (required; see
+    :func:`run_service_calibrate`), so the worker never touches the
+    simulator.  Returns a :class:`ResultTable` with one row per assigned
+    request — plain data, so it pickles across the pool boundary and
+    caches like any other experiment result.
     """
     if shards < 1 or not 0 <= shard < shards:
         raise ConfigurationError(
@@ -172,18 +167,11 @@ def run_service_shard(
     arrivals = generate_arrivals(sched, repetition_seed)
     mine: List[Arrival] = [a for a in arrivals if a.index % shards == shard]
     needed = sorted({a.klass for a in mine})
-    if profiles is not None:
-        shared = profiles_from_json(profiles)
-        missing = [k for k in needed if k not in shared]
-        if missing:
-            raise ConfigurationError(
-                f"profiles artifact missing classes: {', '.join(missing)}"
-            )
-        by_class = shared
-    else:
-        plan = FaultPlan.from_json(faults) if faults else None
-        by_class = calibrate_classes(
-            needed, calib_samples, repetition_seed, plan
+    by_class = profiles_from_json(profiles)
+    missing = [k for k in needed if k not in by_class]
+    if missing:
+        raise ConfigurationError(
+            f"profiles artifact missing classes: {', '.join(missing)}"
         )
 
     table = ResultTable(

@@ -3,8 +3,8 @@
 The platform mixes several clocks: the DMI link (8 GHz when ConTutto is
 plugged, up to 9.6 GHz with Centaur), the POWER8 memory-bus "nest" (2 GHz),
 the FPGA fabric (250 MHz), and the DDR3 interface.  :class:`ClockDomain`
-gives each a name and exact integer period, plus helpers to convert between
-cycles and picoseconds and to find clock-edge-aligned times.
+gives each a name and exact integer period, plus a helper to convert a
+cycle count to picoseconds.
 """
 
 from __future__ import annotations
@@ -26,21 +26,6 @@ class ClockDomain:
     def cycles_to_ps(self, cycles: int) -> int:
         """Duration of ``cycles`` whole cycles in picoseconds."""
         return cycles * self.period_ps
-
-    def ps_to_cycles(self, ps: int) -> int:
-        """Whole cycles that fit in ``ps`` (floor)."""
-        return ps // self.period_ps
-
-    def ps_to_cycles_ceil(self, ps: int) -> int:
-        """Cycles needed to cover ``ps`` (ceiling) — e.g. for latency budgets."""
-        return -(-ps // self.period_ps)
-
-    def next_edge(self, now_ps: int) -> int:
-        """First clock edge at or after ``now_ps`` (edges at multiples of period)."""
-        remainder = now_ps % self.period_ps
-        if remainder == 0:
-            return now_ps
-        return now_ps + (self.period_ps - remainder)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClockDomain {self.name} {self.freq_hz / 1e6:.6g} MHz>"

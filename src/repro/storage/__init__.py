@@ -1,4 +1,4 @@
-"""Storage stack: block devices, attach points, pmem/slram drivers, write cache."""
+"""Storage stack: block devices, attach points, the pmem driver, write cache."""
 
 from .block import DEFAULT_IO_BYTES, SECTOR_BYTES, BlockDevice, IoFaultModel
 from .hdd import HardDiskDrive, HddGeometry
@@ -10,7 +10,6 @@ from .pcie import (
     PcieCardProfile,
 )
 from .pmem import PmemBlockDevice, PmemConfig, PmemRegion
-from .slram import SlramDevice
 from .ssd import SolidStateDrive, SsdProfile
 from .writecache import DirectStore, NvWriteCache, WriteCacheConfig
 
@@ -31,7 +30,6 @@ __all__ = [
     "PmemConfig",
     "PmemRegion",
     "SECTOR_BYTES",
-    "SlramDevice",
     "SolidStateDrive",
     "SsdProfile",
     "WriteCacheConfig",

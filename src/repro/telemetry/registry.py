@@ -158,13 +158,3 @@ class MetricsRegistry:
             else:
                 node[parts[-1]] = value
         return root
-
-    def top_counters(self, limit: int = 10) -> List[tuple]:
-        """The ``limit`` largest counters, for quick CLI summaries."""
-        counters = [
-            (m.name, m.count)
-            for m in self._metrics.values()
-            if isinstance(m, Counter)
-        ]
-        counters.sort(key=lambda item: (-item[1], item[0]))
-        return counters[:limit]

@@ -38,31 +38,6 @@ def ms_to_ps(ms: float) -> int:
     return int(round(ms * MS))
 
 
-def s_to_ps(seconds: float) -> int:
-    """Convert seconds to integer picoseconds."""
-    return int(round(seconds * S))
-
-
-def ps_to_ns(ps: int) -> float:
-    """Convert picoseconds to nanoseconds."""
-    return ps / NS
-
-
-def ps_to_us(ps: int) -> float:
-    """Convert picoseconds to microseconds."""
-    return ps / US
-
-
-def ps_to_ms(ps: int) -> float:
-    """Convert picoseconds to milliseconds."""
-    return ps / MS
-
-
-def ps_to_s(ps: int) -> float:
-    """Convert picoseconds to seconds."""
-    return ps / S
-
-
 # -- frequency -------------------------------------------------------------
 
 KHZ = 1_000
@@ -96,13 +71,6 @@ GIB = 1 << 30
 TIB = 1 << 40
 
 CACHE_LINE_BYTES = 128  # POWER8 cache line / DMI operation granularity
-
-
-def gb_per_s(num_bytes: int, duration_ps: int) -> float:
-    """Achieved bandwidth in GB/s (decimal gigabytes) over ``duration_ps``."""
-    if duration_ps <= 0:
-        raise ValueError(f"duration must be positive, got {duration_ps}")
-    return num_bytes / (duration_ps / S) / 1e9
 
 
 def transfer_ps(num_bytes: int, bandwidth_gb_s: float) -> int:

@@ -14,7 +14,7 @@ suite totals reproduce Table 2's runtimes at the measured latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 NUM_QUERIES = 29
 
@@ -72,14 +72,5 @@ class Db2BluWorkload:
         """Suite runtime — the Table 2 observable."""
         return sum(q.runtime_s(memory_latency_ns) for q in self.queries)
 
-    def per_query_runtimes(self, memory_latency_ns: float) -> Dict[str, float]:
-        return {q.name: q.runtime_s(memory_latency_ns) for q in self.queries}
-
     def degradation(self, base_ns: float, new_ns: float) -> float:
         return self.total_runtime_s(new_ns) / self.total_runtime_s(base_ns) - 1.0
-
-    def most_sensitive(self, n: int = 5) -> List[Query]:
-        """Queries most affected by latency (the join-heavy tail)."""
-        return sorted(
-            self.queries, key=lambda q: q.sensitivity_s_per_ns, reverse=True
-        )[:n]

@@ -127,9 +127,3 @@ class FioRunner:
             duration_us=duration_ps / 1e6,
             errors=state["errors"],
         )
-
-    def read_write_pair(self, device, iodepth: int = 1, total_ios: int = 64):
-        """The Figure 9/10 measurement: one read job and one write job."""
-        read = self.run(device, FioJob(rw="randread", iodepth=iodepth, total_ios=total_ios))
-        write = self.run(device, FioJob(rw="randwrite", iodepth=iodepth, total_ios=total_ios))
-        return read, write

@@ -1,81 +1,9 @@
-"""Tests for the bandwidth arbiter and in-line accel helpers."""
+"""Tests for the in-line accelerator lane-packing helpers."""
 
 import pytest
 
-from repro.accel import (
-    BandwidthArbiter,
-    EQUAL_SPLIT,
-    HOST_PRIORITY,
-    SharePolicy,
-    pack_lanes,
-    unpack_lanes,
-)
+from repro.accel import pack_lanes, unpack_lanes
 from repro.errors import AccelError
-from repro.sim import Simulator
-
-
-class TestSharePolicy:
-    def test_fractions_sum_to_one(self):
-        policy = SharePolicy({"host": 3.0, "accel": 1.0})
-        assert policy.fraction("host") + policy.fraction("accel") == pytest.approx(1.0)
-        assert policy.fraction("host") == pytest.approx(0.75)
-
-    def test_presets(self):
-        assert HOST_PRIORITY.fraction("host") == pytest.approx(0.75)
-        assert EQUAL_SPLIT.fraction("host") == pytest.approx(0.5)
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(AccelError):
-            EQUAL_SPLIT.fraction("gpu")
-
-    def test_invalid_shares_rejected(self):
-        with pytest.raises(AccelError):
-            SharePolicy({})
-        with pytest.raises(AccelError):
-            SharePolicy({"a": 0})
-
-
-class TestBandwidthArbiter:
-    def test_within_budget_is_immediate(self):
-        sim = Simulator()
-        arbiter = BandwidthArbiter(sim, aggregate_gb_s=10.0, window_us=10)
-        sig = arbiter.request("host", 1024)
-        sim.run_until_signal(sig)
-        assert sim.now_ps == 0
-        assert arbiter.delays == 0
-
-    def test_over_budget_with_contention_delays(self):
-        sim = Simulator()
-        # 10 GB/s x 10 us window = 100 KB total; host share 75 KB
-        arbiter = BandwidthArbiter(sim, aggregate_gb_s=10.0, window_us=10)
-        sim.run_until_signal(arbiter.request("accel", 10_000))  # accel active
-        sim.run_until_signal(arbiter.request("host", 70_000))
-        sig = arbiter.request("host", 20_000)  # pushes host past 75 KB
-        sim.run_until_signal(sig)
-        assert arbiter.delays == 1
-        assert sim.now_ps >= 10_000_000  # pushed to the next 10 us window
-
-    def test_work_conserving_when_alone(self):
-        sim = Simulator()
-        arbiter = BandwidthArbiter(sim, aggregate_gb_s=10.0, window_us=10)
-        # no other class active: host may exceed its share without delay
-        sim.run_until_signal(arbiter.request("host", 90_000))
-        sig = arbiter.request("host", 90_000)
-        sim.run_until_signal(sig)
-        assert arbiter.delays == 0
-
-    def test_window_rolls(self):
-        sim = Simulator()
-        arbiter = BandwidthArbiter(sim, aggregate_gb_s=10.0, window_us=10)
-        sim.run_until_signal(arbiter.request("host", 50_000))
-        sim.call_after(20_000_000, lambda: None)  # 20 us later
-        sim.run()
-        sim.run_until_signal(arbiter.request("host", 50_000))
-        assert arbiter.delays == 0  # fresh window, fresh budget
-
-    def test_invalid_bandwidth_rejected(self):
-        with pytest.raises(AccelError):
-            BandwidthArbiter(Simulator(), aggregate_gb_s=0)
 
 
 class TestLanePacking:

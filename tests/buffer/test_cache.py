@@ -85,14 +85,6 @@ class TestWrites:
     def test_update_miss_returns_false(self):
         assert not small_cache().update(0, line(1))
 
-    def test_drain_dirty(self):
-        cache = small_cache(ways=2, sets=2)
-        cache.fill(0, line(1), dirty=True)
-        cache.fill(CACHE_LINE_BYTES, line(2), dirty=False)
-        drained = cache.drain_dirty()
-        assert drained == [(0, line(1))]
-        assert cache.drain_dirty() == []  # idempotent
-
 
 class TestPrefetch:
     def test_next_line_candidate(self):
@@ -150,8 +142,6 @@ class TestLinesHeld:
         cache.fill(0, line(1))
         cache.fill(CACHE_LINE_BYTES, line(2), dirty=True)
         cache.update(0, line(3))
-        assert cache.lines_held == self._true_count(cache) == 2
-        cache.drain_dirty()  # flushes dirty data, lines stay resident
         assert cache.lines_held == self._true_count(cache) == 2
 
     def test_refill_of_resident_line_not_double_counted(self):

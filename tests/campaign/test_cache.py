@@ -63,7 +63,7 @@ class TestStore:
         hit = cache.get(JOB)
         assert hit["result"] == echo_table(1)
         assert cache.hits == 1 and cache.misses == 1
-        assert JOB in cache
+        assert cache.contains(JOB)
 
     def test_entry_carries_full_job_payload(self, tmp_path):
         # warm replays must be artifact-identical to the original run:

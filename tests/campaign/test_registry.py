@@ -1,0 +1,31 @@
+"""Every registered experiment can run with its own defaults.
+
+A campaign job calls ``spec.runner(**kwargs, seed=...)``, so a default
+the runner no longer accepts, or a fault plan threaded into a runner
+without a ``faults`` parameter, fails only at job time.  These checks
+catch both at collection instead.
+"""
+
+import inspect
+
+import pytest
+
+from repro.campaign.registry import REGISTRY
+
+SPECS = sorted(REGISTRY.values(), key=lambda spec: spec.name)
+
+
+def params(spec):
+    return inspect.signature(spec.runner).parameters
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+class TestRegistrySpec:
+    def test_defaults_bind_to_the_runner(self, spec):
+        inspect.signature(spec.runner).bind(**spec.defaults)
+
+    def test_runner_takes_seed(self, spec):
+        assert "seed" in params(spec)
+
+    def test_supports_faults_matches_the_runner(self, spec):
+        assert spec.supports_faults == ("faults" in params(spec))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dmi import NUM_TAGS, ReplayBuffer, TagPool
-from repro.errors import ProtocolError, ReplayError, TagExhaustedError
+from repro.errors import ProtocolError, ReplayError
 from repro.sim import Process, Simulator
 
 
@@ -25,12 +25,6 @@ class TestTagPool:
         for _ in range(32):
             assert pool.try_acquire() is not None
         assert pool.try_acquire() is None
-
-    def test_acquire_or_raise(self):
-        pool = TagPool(Simulator(), num_tags=1)
-        pool.acquire_or_raise()
-        with pytest.raises(TagExhaustedError):
-            pool.acquire_or_raise()
 
     def test_release_unheld_tag_raises(self):
         with pytest.raises(ProtocolError):

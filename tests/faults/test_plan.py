@@ -37,7 +37,6 @@ class TestFaultSpec:
         spec = FaultSpec("dmi.bit_errors", params=(("rate", 0.1),))
         assert spec.param("rate") == 0.1
         assert spec.param("missing", 42) == 42
-        assert spec.params_dict == {"rate": 0.1}
 
 
 class TestLabelling:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fpga import (
-    BASE_BLOCK_COSTS,
     BlockCost,
     DesignResources,
     FpgaTimingConfig,
@@ -93,10 +92,6 @@ class TestTimingClosure:
         without = TimingClosure(FpgaTimingConfig(use_rx_clock_crossing_fifo=False))
         assert with_fifo.rx_stages() - without.rx_stages() == 2
         assert with_fifo.rx_overhead_ps() - without.rx_overhead_ps() == 8_000
-
-    def test_each_stage_costs_8_nest_cycles(self):
-        closure = TimingClosure(SHIPPING_TIMING)
-        assert closure.nest_cycles_per_stage() == 8
 
     def test_zero_crc_stages_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -70,13 +70,6 @@ class TestRowBuffer:
         serial_estimate = 2 * t_a
         assert t_b < serial_estimate
 
-    def test_row_buffer_hit_rate(self):
-        dram = fresh_dram()
-        t = 0
-        for i in range(10):
-            _, t = dram.read(128 * i, 128, t)
-        assert dram.row_buffer_hit_rate == pytest.approx(9 / 10)
-
 
 class TestTimingGrades:
     def test_faster_grade_lower_latency(self):

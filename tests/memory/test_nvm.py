@@ -160,7 +160,6 @@ class TestEndurance:
         tracker.record_write(128, 128)
         assert tracker.wear_of(0) == 2
         assert tracker.wear_of(128) == 1
-        assert tracker.max_wear() == 2
 
     def test_wear_spanning_units(self):
         tracker = WearTracker(EnduranceSpec("t", 100), unit_bytes=128, enforce=False)
@@ -168,17 +167,6 @@ class TestEndurance:
         assert tracker.wear_of(0) == 1
         assert tracker.wear_of(128) == 1
 
-    def test_remaining_fraction(self):
-        tracker = WearTracker(EnduranceSpec("t", 4), unit_bytes=64, enforce=False)
-        tracker.record_write(0, 1)
-        assert tracker.remaining_fraction(0) == pytest.approx(0.75)
-
-    def test_hottest_units(self):
-        tracker = WearTracker(EnduranceSpec("t", 1000), unit_bytes=64, enforce=False)
-        for _ in range(5):
-            tracker.record_write(64, 1)
-        tracker.record_write(0, 1)
-        assert tracker.hottest_units(1) == [(1, 5)]
 
 
 class TestSpd:
@@ -195,11 +183,6 @@ class TestSpd:
     def test_wrong_length_rejected(self):
         with pytest.raises(FirmwareError):
             SpdData.decode(b"short")
-
-    def test_nonvolatile_flag(self):
-        assert SpdData("mram", 1).is_non_volatile
-        assert SpdData("nvdimm", 1).is_non_volatile
-        assert not SpdData("dram", 1).is_non_volatile
 
     def test_spd_for_device(self):
         mram = SttMram(256 * MIB)

@@ -1,16 +1,11 @@
-"""Tests for the analytical CPU model and cache hierarchy."""
+"""Tests for the analytical CPU model."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.processor import (
-    POWER8_HIERARCHY,
-    CacheHierarchy,
-    CpuModel,
-    WorkloadProfile,
-)
+from repro.processor import CpuModel, WorkloadProfile
 
 
 def profile(**overrides):
@@ -79,38 +74,6 @@ class TestCpuModel:
         high_mlp = profile(mlp=6.0)
         assert model.degradation(low_mlp, 97, 558) > model.degradation(high_mlp, 97, 558)
 
-    def test_stall_fraction_bounded(self):
-        model = CpuModel()
-        frac = model.memory_stall_fraction(profile(), 558)
-        assert 0 < frac < 1
-
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigurationError):
             CpuModel().cpi(profile(), -1)
-
-
-class TestCacheHierarchy:
-    def test_amat_all_l1_hits(self):
-        amat = POWER8_HIERARCHY.amat_cycles([1.0, 0.0, 0.0], memory_latency_ns=100)
-        assert amat == pytest.approx(3)
-
-    def test_amat_all_misses_pays_memory(self):
-        amat = POWER8_HIERARCHY.amat_cycles([0.0, 0.0, 0.0], memory_latency_ns=100)
-        assert amat == pytest.approx(100 * 4.0)  # 400 cycles at 4 GHz
-
-    def test_amat_mixed(self):
-        amat = POWER8_HIERARCHY.amat_cycles([0.9, 0.5, 0.5], memory_latency_ns=100)
-        hand = 0.9 * 3 + 0.1 * 0.5 * 13 + 0.05 * 0.5 * 27 + 0.025 * 400
-        assert amat == pytest.approx(hand)
-
-    def test_memory_access_fraction(self):
-        frac = POWER8_HIERARCHY.memory_access_fraction([0.9, 0.5, 0.5])
-        assert frac == pytest.approx(0.025)
-
-    def test_wrong_rate_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            POWER8_HIERARCHY.amat_cycles([0.9], 100)
-
-    def test_rate_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            POWER8_HIERARCHY.amat_cycles([1.1, 0, 0], 100)

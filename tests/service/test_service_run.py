@@ -4,6 +4,8 @@ The storage-backed schedule keeps these fast (no system boot); the
 fault-composition test boots one small Centaur system.
 """
 
+from functools import cache
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -16,9 +18,12 @@ from repro.service import (
     demand_stream,
     generate_arrivals,
     merge_shard_demands,
+    profiles_from_table,
+    profiles_to_json,
     render_run_table_csv,
     rep_seed,
     run_service,
+    run_service_calibrate,
     run_service_shard,
     run_table_records,
     window_rows,
@@ -47,12 +52,21 @@ SCHED = ArrivalSchedule(
 SEED = 11
 
 
+@cache
+def shared_profiles() -> str:
+    """The one calibration artifact every shard job below draws from."""
+    table = run_service_calibrate(
+        classes="storage_read,storage_write", calib_samples=6, seed=SEED,
+    )
+    return profiles_to_json(profiles_from_table(table))
+
+
 def run_rows(shards: int, repetition: int = 0):
     """The merged run-table rows produced with ``shards`` workers."""
     tables = [
         run_service_shard(
             schedule=SCHED.to_json(), shard=s, shards=shards,
-            repetition=repetition, calib_samples=6, seed=SEED,
+            repetition=repetition, profiles=shared_profiles(), seed=SEED,
         )
         for s in range(shards)
     ]
@@ -113,14 +127,14 @@ class TestMergeValidation:
     def test_missing_shard_detected(self):
         tables = [
             run_service_shard(schedule=SCHED.to_json(), shard=0, shards=2,
-                              calib_samples=4, seed=SEED)
+                              profiles=shared_profiles(), seed=SEED)
         ]
         with pytest.raises(ConfigurationError):
             merge_shard_demands(tables)
 
     def test_duplicate_shard_detected(self):
         table = run_service_shard(schedule=SCHED.to_json(), shard=0, shards=1,
-                                  calib_samples=4, seed=SEED)
+                                  profiles=shared_profiles(), seed=SEED)
         with pytest.raises(ConfigurationError):
             merge_shard_demands([table, table])
 

@@ -119,6 +119,11 @@ class TestShardWithSharedProfiles:
                        for row in table.rows]
             assert service and all(ps in calibrated for ps in service)
 
+    def test_profiles_are_required(self):
+        # shard jobs never calibrate: without the artifact they refuse
+        with pytest.raises(ConfigurationError, match="bad profiles JSON"):
+            run_service_shard(schedule=SCHED.to_json(), seed=SEED)
+
     def test_missing_class_rejected(self):
         only_reads = profiles_to_json(calibrate_classes(
             ["storage_read"], 4, calibration_seed(SEED), None,

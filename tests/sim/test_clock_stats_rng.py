@@ -12,7 +12,7 @@ from repro.sim import (
     nest_clock,
 )
 from repro.telemetry.metrics import Counter
-from repro.units import GHZ, MHZ
+from repro.units import MHZ
 
 
 class TestClockDomain:
@@ -31,19 +31,6 @@ class TestClockDomain:
     def test_cycles_roundtrip(self):
         clk = ClockDomain("t", 250 * MHZ)
         assert clk.cycles_to_ps(6) == 24_000
-        assert clk.ps_to_cycles(24_000) == 6
-
-    def test_ps_to_cycles_ceil(self):
-        clk = ClockDomain("t", 250 * MHZ)
-        assert clk.ps_to_cycles_ceil(4_001) == 2
-        assert clk.ps_to_cycles_ceil(4_000) == 1
-
-    def test_next_edge(self):
-        clk = ClockDomain("t", 1 * GHZ)  # 1000 ps period
-        assert clk.next_edge(0) == 0
-        assert clk.next_edge(1) == 1_000
-        assert clk.next_edge(1_000) == 1_000
-        assert clk.next_edge(1_500) == 2_000
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ConfigurationError):

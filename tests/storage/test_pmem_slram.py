@@ -1,10 +1,10 @@
-"""Tests for the pmem and slram drivers over a booted system."""
+"""Tests for the pmem driver over a booted system."""
 
 import pytest
 
 from repro import CardSpec, ContuttoSystem
 from repro.errors import StorageError
-from repro.storage import PmemBlockDevice, PmemConfig, PmemRegion, SlramDevice
+from repro.storage import PmemBlockDevice, PmemConfig, PmemRegion
 from repro.units import CACHE_LINE_BYTES, GIB, MIB
 
 
@@ -77,26 +77,3 @@ class TestPmemRegion:
         before = pmem.persists
         mram_system.sim.run_until_signal(blk.submit_write(0, 4096), timeout_ps=10**12)
         assert pmem.persists == before
-
-
-class TestSlram:
-    def test_over_dram_region(self):
-        system = ContuttoSystem.build([CardSpec(slot=0, kind="centaur")])
-        slram = SlramDevice(system.sim, system.socket, base=0, size=1 * MIB)
-        system.sim.run_until_signal(slram.submit_write(0, 4096), timeout_ps=10**12)
-        system.sim.run_until_signal(slram.submit_read(0, 4096), timeout_ps=10**12)
-        assert slram.writes == 1 and slram.reads == 1
-
-    def test_unaligned_io_rejected(self):
-        system = ContuttoSystem.build([CardSpec(slot=0, kind="centaur")])
-        slram = SlramDevice(system.sim, system.socket, base=0, size=1 * MIB)
-        with pytest.raises(StorageError):
-            slram.submit_read(100, 128)
-        with pytest.raises(StorageError):
-            slram.submit_read(0, 100)
-
-    def test_out_of_device_rejected(self):
-        system = ContuttoSystem.build([CardSpec(slot=0, kind="centaur")])
-        slram = SlramDevice(system.sim, system.socket, base=0, size=1 * MIB)
-        with pytest.raises(StorageError):
-            slram.submit_read(1 * MIB, 128)

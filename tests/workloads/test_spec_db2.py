@@ -85,17 +85,3 @@ class TestDb2Blu:
         workload = Db2BluWorkload()
         runtimes = [workload.total_runtime_s(lat) for lat in (79, 100, 150, 249, 400)]
         assert runtimes == sorted(runtimes)
-
-    def test_per_query_sums_to_total(self):
-        workload = Db2BluWorkload()
-        per_query = workload.per_query_runtimes(100)
-        assert sum(per_query.values()) == pytest.approx(workload.total_runtime_s(100))
-
-    def test_most_sensitive_queries_identified(self):
-        workload = Db2BluWorkload()
-        top = workload.most_sensitive(3)
-        floor = max(q.sensitivity_s_per_ns for q in workload.queries[3:])
-        assert all(q.sensitivity_s_per_ns >= 0 for q in top)
-        assert top[0].sensitivity_s_per_ns == max(
-            q.sensitivity_s_per_ns for q in workload.queries
-        )

@@ -1,11 +1,6 @@
-"""Ablation benchmark helpers: path setup + DMI channel factory."""
+"""Ablation benchmark helpers: DMI channel factory."""
 
-import os
-import sys
-
-
-
-from repro.dmi import (  # noqa: E402
+from repro.dmi import (
     DmiChannel,
     EndpointConfig,
     LinkErrorModel,
@@ -15,7 +10,7 @@ from repro.dmi import (  # noqa: E402
     SerialLink,
     TrainingConfig,
 )
-from repro.sim import Rng, dmi_link_clock  # noqa: E402
+from repro.sim import Rng, dmi_link_clock
 
 
 def make_test_channel(sim, error_rate=0.0, buffer_config=None, seed=0,

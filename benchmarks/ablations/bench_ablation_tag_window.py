@@ -11,7 +11,6 @@ no longer covers the bandwidth-delay product.
 from ablation_util import make_test_channel, train_channel
 from bench_util import run_once
 
-from repro.dmi import Command, Opcode
 from repro.processor import HostMemoryController
 from repro.sim import Simulator
 from repro.units import S
@@ -23,7 +22,6 @@ def _throughput(num_tags: int, reads: int = 96) -> float:
     channel = make_test_channel(sim, service_delay_ps=300_000)  # ~ConTutto-slow
     train_channel(sim, channel)
     host_mc = HostMemoryController(sim, channel, num_tags=num_tags)
-    done = []
     t0 = sim.now_ps
 
     signals = [host_mc.read_line(128 * i) for i in range(reads)]

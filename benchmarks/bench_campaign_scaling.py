@@ -14,12 +14,19 @@ trajectory:
 3. **cached**   — a re-run against the warm cache: every job served by
    content address, no simulation at all.
 
+It also records the **cold start** of a campaign job: the median, over
+fresh interpreters, of start-up plus ``import repro.campaign.worker``
+plus one ``table3[samples=1]`` job (the shape of the repo benchmark's
+``setup_s``), and how many ``repro`` modules that loads.
+
 Standalone:      python benchmarks/bench_campaign_scaling.py
 Under pytest:    pytest benchmarks/bench_campaign_scaling.py -s
 """
 
 import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -32,6 +39,21 @@ from repro.campaign import CampaignRunner, ResultCache, ScenarioMatrix  # noqa: 
 
 #: artifact written next to this file (CI uploads it)
 ARTIFACT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_campaign.json")
+#: the ``src`` directory of this checkout (what the cold-start children import)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: fresh interpreters whose median is ``cold_start_s``
+COLD_START_RUNS = 9
+#: one cold-start child: import the worker, run the smallest table3 job,
+#: then report the monotonic clock and the ``repro`` modules loaded
+COLD_START_CHILD = """\
+import json, sys, time
+import repro.campaign.worker
+out = repro.campaign.worker.execute_job(("table3", (("samples", 1),), 0))
+done = time.monotonic()
+assert out["status"] == "ok", out.get("traceback")
+print(json.dumps([done, sum(m == "repro" or m.startswith("repro.") for m in sys.modules)]))
+"""
 
 
 def scaling_matrix() -> ScenarioMatrix:
@@ -51,6 +73,26 @@ def scaling_matrix() -> ScenarioMatrix:
     return matrix
 
 
+def cold_start(runs: int = COLD_START_RUNS):
+    """``(median seconds, repro modules loaded)`` over ``runs`` children.
+
+    A child's time runs from just before the spawn to the end of its job
+    (``time.monotonic`` is shared by all processes on Linux).
+    """
+    env = dict(os.environ, PYTHONPATH=SRC)
+    times, modules = [], set()
+    for _ in range(runs):
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", COLD_START_CHILD], env=env,
+                              capture_output=True, text=True, check=True)
+        done, loaded = json.loads(proc.stdout.splitlines()[-1])
+        times.append(done - started)
+        modules.add(loaded)
+    if len(modules) != 1:
+        raise RuntimeError(f"cold start loaded differing module counts: {modules}")
+    return statistics.median(times), modules.pop()
+
+
 def _timed_run(jobs, workers, cache):
     t0 = time.perf_counter()
     report = CampaignRunner(jobs, workers=workers, cache=cache).run()
@@ -66,6 +108,7 @@ def run_scaling(artifact_path: str = ARTIFACT) -> dict:
     jobs = scaling_matrix().expand()
     host = host_facts()
     cpu_count = host["cpu_count"]
+    cold_start_s, cold_start_modules = cold_start()
     # always at least 2 so the pool path is actually exercised; on a
     # single-core host that measures pure scheduling overhead
     workers = max(2, min(4, cpu_count))
@@ -90,6 +133,8 @@ def run_scaling(artifact_path: str = ARTIFACT) -> dict:
         "schema": "repro.bench/v1",
         "benchmark": "campaign_scaling",
         "host": host,
+        "cold_start_s": round(cold_start_s, 4),
+        "cold_start_modules": cold_start_modules,
         "parallel_workers": workers,
         "jobs": len(jobs),
         "serial_s": round(serial_s, 4),

@@ -39,7 +39,7 @@ def noisy_traffic() -> None:
 
     channel = system.socket.slots[0].channel
     host, buffer = channel.host_endpoint, channel.buffer_endpoint
-    print(f"  30 write+read pairs completed correctly")
+    print("  30 write+read pairs completed correctly")
     print(f"  frames dropped by CRC: host={host.crc_drops} buffer={buffer.crc_drops}")
     print(f"  replays triggered:     host={host.replays_triggered} "
           f"buffer={buffer.replays_triggered}")

@@ -9,7 +9,6 @@ Run:  python examples/persistent_memory.py
 """
 
 from repro import CardSpec, ContuttoSystem
-from repro.memory import NvdimmState
 from repro.sim import Simulator
 from repro.storage import MRAM_PCIE, NVRAM_PCIE, PcieAttachedStore, PmemBlockDevice
 from repro.units import GIB, MIB

@@ -23,48 +23,48 @@ Quickstart::
 See ``examples/`` and ``benchmarks/`` for the paper's experiments.
 """
 
-from .campaign import CampaignJob, CampaignRunner, ResultCache, ScenarioMatrix
-from .faults import FaultController, FaultPlan, FaultSpec, ResilienceReport
-from .faults.experiments import run_ber_sweep, run_nvdimm_drill
-from .core import (
-    CardSpec,
-    ContuttoSystem,
-    ResultTable,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fio_matrix,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignJob",
-    "CampaignRunner",
-    "CardSpec",
-    "ContuttoSystem",
-    "FaultController",
-    "FaultPlan",
-    "FaultSpec",
-    "ResilienceReport",
-    "ResultCache",
-    "ResultTable",
-    "ScenarioMatrix",
-    "__version__",
-    "run_ber_sweep",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_fio_matrix",
-    "run_nvdimm_drill",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-]
+#: public name -> the module it is imported from on first access (PEP 562),
+#: so ``import repro`` alone loads no simulation code
+_EXPORTS = {
+    "CampaignJob": ".campaign",
+    "CampaignRunner": ".campaign",
+    "CardSpec": ".core",
+    "ContuttoSystem": ".core",
+    "FaultController": ".faults",
+    "FaultPlan": ".faults",
+    "FaultSpec": ".faults",
+    "ResilienceReport": ".faults",
+    "ResultCache": ".campaign",
+    "ResultTable": ".core",
+    "ScenarioMatrix": ".campaign",
+    "run_ber_sweep": ".faults.experiments",
+    "run_fig6": ".core",
+    "run_fig7": ".core",
+    "run_fig8": ".core",
+    "run_fio_matrix": ".core",
+    "run_nvdimm_drill": ".faults.experiments",
+    "run_table1": ".core",
+    "run_table2": ".core",
+    "run_table3": ".core",
+    "run_table4": ".core",
+    "run_table5": ".core.acceleration",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,7 @@ drives them and measures the benefit over the software equivalent
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import List
 
 from ..errors import AccelError
 from ..processor.host_mc import HostMemoryController

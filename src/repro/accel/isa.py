@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import AssemblerError
 

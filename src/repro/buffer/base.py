@@ -13,7 +13,7 @@ The buffer is a protocol *slave*: it never initiates commands (Section 2.3).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..dmi.commands import Command, Opcode, Response
 from ..errors import ProtocolError

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..telemetry import probe
@@ -47,10 +47,10 @@ class BufferCache:
         self.line_bytes = line_bytes
         self.num_sets = capacity_bytes // (ways * line_bytes)
         self.prefetch_next_line = prefetch_next_line
-        # each set: OrderedDict tag -> _Line, LRU at the front
-        self._sets: List["OrderedDict[int, _Line]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # set number -> OrderedDict tag -> _Line, LRU at the front; a set
+        # is created by its first fill (a job touches a few hundred of the
+        # default geometry's 8,192), and an absent set holds no lines
+        self._sets: Dict[int, "OrderedDict[int, _Line]"] = {}
         #: resident line count, maintained incrementally — the occupancy
         #: sampler reads it every period, and walking thousands of sets
         #: per sample dominated sampling cost
@@ -77,14 +77,15 @@ class BufferCache:
     def lookup(self, addr: int) -> Optional[bytes]:
         """Probe for the line containing ``addr``; LRU-promotes on hit."""
         set_no, tag = self._index(addr)
-        line = self._sets[set_no].get(tag)
+        assoc_set = self._sets.get(set_no)
+        line = assoc_set.get(tag) if assoc_set is not None else None
         trace = probe.session
         if line is None:
             self.misses += 1
             if trace is not None:
                 trace.count("buffer.cache.misses")
             return None
-        self._sets[set_no].move_to_end(tag)
+        assoc_set.move_to_end(tag)
         self.hits += 1
         if trace is not None:
             trace.count("buffer.cache.hits")
@@ -101,7 +102,9 @@ class BufferCache:
                 f"cache fill must be one {self.line_bytes}B line"
             )
         set_no, tag = self._index(addr)
-        assoc_set = self._sets[set_no]
+        assoc_set = self._sets.get(set_no)
+        if assoc_set is None:
+            assoc_set = self._sets[set_no] = OrderedDict()
         victim = None
         if tag not in assoc_set:
             if len(assoc_set) >= self.ways:
@@ -122,7 +125,7 @@ class BufferCache:
     def update(self, addr: int, data: bytes) -> bool:
         """Write a full line if present (marks dirty); returns hit/miss."""
         set_no, tag = self._index(addr)
-        assoc_set = self._sets[set_no]
+        assoc_set = self._sets.get(set_no, ())
         trace = probe.session
         if tag not in assoc_set:
             if trace is not None:
@@ -140,7 +143,7 @@ class BufferCache:
             return None
         nxt = addr + self.line_bytes
         set_no, tag = self._index(nxt)
-        if tag in self._sets[set_no]:
+        if tag in self._sets.get(set_no, ()):
             return None
         return nxt
 

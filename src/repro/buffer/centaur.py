@@ -11,14 +11,14 @@ workloads use all ports' bandwidth.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..dmi.commands import Command, Opcode, Response
 from ..errors import ConfigurationError
 from ..memory import MemoryController, MemoryControllerConfig
 from ..memory.device import MemoryDevice
 from ..sim import Simulator
-from ..units import CACHE_LINE_BYTES, ns_to_ps
+from ..units import CACHE_LINE_BYTES
 from .base import MemoryBuffer, RespondFn
 from .cache import BufferCache
 from .config import DEFAULT, CentaurConfig

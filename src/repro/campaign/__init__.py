@@ -23,47 +23,48 @@ See ``docs/campaign.md`` for the matrix format, manifest/cache layout,
 and failure semantics; ``scripts/run_campaign.py`` is the CLI.
 """
 
-from .cache import ResultCache, code_fingerprint, job_key
-from .manifest import (
-    ManifestWriter,
-    campaign_record,
-    canonical_manifest,
-    completed_job_ids,
-    job_record,
-    read_manifest,
-)
-from .matrix import (
-    CampaignJob,
-    ScenarioMatrix,
-    apply_fault_plan,
-    canonical_kwargs,
-)
-from .registry import ALIASES, ExperimentSpec, experiment_names, get_experiment
-from .runner import CampaignReport, CampaignRunner, JobOutcome
-from .worker import execute_job, run_experiment, tables_of
+from importlib import import_module
 
-__all__ = [
-    "ALIASES",
-    "CampaignJob",
-    "CampaignReport",
-    "CampaignRunner",
-    "ExperimentSpec",
-    "JobOutcome",
-    "ManifestWriter",
-    "ResultCache",
-    "ScenarioMatrix",
-    "apply_fault_plan",
-    "campaign_record",
-    "canonical_kwargs",
-    "canonical_manifest",
-    "code_fingerprint",
-    "completed_job_ids",
-    "execute_job",
-    "experiment_names",
-    "get_experiment",
-    "job_key",
-    "job_record",
-    "read_manifest",
-    "run_experiment",
-    "tables_of",
-]
+#: public name -> submodule imported on first access (PEP 562): the
+#: registry and matrix load without the runner's pool machinery, and no
+#: experiment code loads until a job resolves its runner
+_EXPORTS = {
+    "ALIASES": ".registry",
+    "CampaignJob": ".matrix",
+    "CampaignReport": ".runner",
+    "CampaignRunner": ".runner",
+    "ExperimentSpec": ".registry",
+    "JobOutcome": ".runner",
+    "ManifestWriter": ".manifest",
+    "ResultCache": ".cache",
+    "ScenarioMatrix": ".matrix",
+    "apply_fault_plan": ".matrix",
+    "campaign_record": ".manifest",
+    "canonical_kwargs": ".matrix",
+    "canonical_manifest": ".manifest",
+    "code_fingerprint": ".cache",
+    "completed_job_ids": ".manifest",
+    "execute_job": ".worker",
+    "experiment_names": ".registry",
+    "get_experiment": ".registry",
+    "job_key": ".cache",
+    "job_record": ".manifest",
+    "read_manifest": ".manifest",
+    "run_experiment": ".worker",
+    "tables_of": ".worker",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

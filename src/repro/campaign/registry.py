@@ -15,38 +15,26 @@ returns the ``(fig9, fig10)`` pair.
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
-from ..core.experiment import (
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fio_matrix,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
 from ..errors import ConfigurationError
-from ..faults.experiments import (
-    run_ber_sweep,
-    run_nvdimm_drill,
-    run_storage_drill,
-)
-from ..hybrid.experiments import run_tiered_replay
-from ..service.shard import run_service_calibrate, run_service_shard
-from ..tune.trial import run_tune_trial
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment: name, callable, default kwargs."""
+    """One runnable experiment: name, runner, default kwargs.
+
+    The runner is named by ``"module:function"`` and imported on first
+    use, so listing or validating experiments imports no simulation code
+    and a job imports only its own runner's module.
+    """
 
     name: str
-    runner: Callable
+    #: ``"repro.core.experiment:run_table3"`` — where :attr:`runner` lives
+    target: str
     defaults: Dict[str, object] = field(default_factory=dict)
     #: hidden specs (self-test fixtures) are excluded from CLIs and
     #: from the paper scenario matrix
@@ -59,28 +47,34 @@ class ExperimentSpec:
     #: ``run_campaign.py --faults`` only threads plans into these
     supports_faults: bool = False
 
+    @property
+    def runner(self) -> Callable:
+        """The runner callable, importing its module if need be."""
+        module, _, name = self.target.partition(":")
+        return getattr(importlib.import_module(module), name)
+
 
 #: registration order mirrors EXPERIMENTS.md section order
 _SPECS: List[ExperimentSpec] = [
-    ExperimentSpec("table1", run_table1, {}),
-    ExperimentSpec("table2", run_table2, {"samples": 24}),
-    ExperimentSpec("fig6", run_fig6, {"samples": 24}),
-    ExperimentSpec("table3", run_table3, {"samples": 24}),
-    ExperimentSpec("fig7", run_fig7, {"samples": 24}),
-    ExperimentSpec("fig8", run_fig8, {}),
-    ExperimentSpec("table4", run_table4, {"writes": 24}),
-    ExperimentSpec("fio", run_fio_matrix, {"ios": 32}),
-    ExperimentSpec("table5", run_table5, {"size_mib": 16}),
+    ExperimentSpec("table1", "repro.core.experiment:run_table1", {}),
+    ExperimentSpec("table2", "repro.core.experiment:run_table2", {"samples": 24}),
+    ExperimentSpec("fig6", "repro.core.experiment:run_fig6", {"samples": 24}),
+    ExperimentSpec("table3", "repro.core.experiment:run_table3", {"samples": 24}),
+    ExperimentSpec("fig7", "repro.core.experiment:run_fig7", {"samples": 24}),
+    ExperimentSpec("fig8", "repro.core.experiment:run_fig8", {}),
+    ExperimentSpec("table4", "repro.core.experiment:run_table4", {"writes": 24}),
+    ExperimentSpec("fio", "repro.core.experiment:run_fio_matrix", {"ios": 32}),
+    ExperimentSpec("table5", "repro.core.acceleration:run_table5", {"size_mib": 16}),
     # fault & resilience experiments (docs/faults.md)
-    ExperimentSpec("ber_sweep", run_ber_sweep, {"samples": 8},
-                   paper=False, supports_faults=True),
-    ExperimentSpec("nvdimm_drill", run_nvdimm_drill, {"lines": 16},
-                   paper=False, supports_faults=True),
-    ExperimentSpec("storage_drill", run_storage_drill, {"writes": 24},
-                   paper=False, supports_faults=True),
+    ExperimentSpec("ber_sweep", "repro.faults.experiments:run_ber_sweep",
+                   {"samples": 8}, paper=False, supports_faults=True),
+    ExperimentSpec("nvdimm_drill", "repro.faults.experiments:run_nvdimm_drill",
+                   {"lines": 16}, paper=False, supports_faults=True),
+    ExperimentSpec("storage_drill", "repro.faults.experiments:run_storage_drill",
+                   {"writes": 24}, paper=False, supports_faults=True),
     # hybrid-memory tiering: migration policy x replay workload
     # (docs/hybrid.md); swept as campaign axes, not part of the paper set
-    ExperimentSpec("tiered_replay", run_tiered_replay,
+    ExperimentSpec("tiered_replay", "repro.hybrid.experiments:run_tiered_replay",
                    {"policy": "clock", "workload": "graph", "ops": 96,
                     "depth": 4},
                    paper=False, supports_faults=True),
@@ -88,7 +82,7 @@ _SPECS: List[ExperimentSpec] = [
     # scripts/run_service.py, one job per (repetition, shard); hidden
     # because a lone shard is half a result (the merge computes queueing)
     ExperimentSpec(
-        "service_shard", run_service_shard,
+        "service_shard", "repro.service.shard:run_service_shard",
         {"schedule": "", "shard": 0, "shards": 1, "repetition": 0},
         hidden=True, paper=False,
     ),
@@ -96,7 +90,7 @@ _SPECS: List[ExperimentSpec] = [
     # run_service.py invocation; its table becomes the profiles artifact
     # every (repetition, shard) job reuses
     ExperimentSpec(
-        "service_calibrate", run_service_calibrate,
+        "service_calibrate", "repro.service.shard:run_service_calibrate",
         {"classes": "", "calib_samples": 24},
         hidden=True, paper=False, supports_faults=True,
     ),
@@ -104,7 +98,7 @@ _SPECS: List[ExperimentSpec] = [
     # driver, one job per (config, rung); hidden because a lone trial is
     # meaningless without the search that proposed it
     ExperimentSpec(
-        "tune_trial", run_tune_trial,
+        "tune_trial", "repro.tune.trial:run_tune_trial",
         {"config": "{}", "workload": "mem_read", "samples": 32, "depth": 4},
         hidden=True, paper=False, supports_faults=True,
     ),
@@ -139,9 +133,12 @@ def _selftest_sleep(seconds: float = 5.0, seed: int = 0):
 
 
 _SPECS += [
-    ExperimentSpec("_selftest_echo", _selftest_echo, {"value": 1}, hidden=True),
-    ExperimentSpec("_selftest_fail", _selftest_fail, {}, hidden=True),
-    ExperimentSpec("_selftest_sleep", _selftest_sleep, {"seconds": 5.0}, hidden=True),
+    ExperimentSpec("_selftest_echo", "repro.campaign.registry:_selftest_echo",
+                   {"value": 1}, hidden=True),
+    ExperimentSpec("_selftest_fail", "repro.campaign.registry:_selftest_fail",
+                   {}, hidden=True),
+    ExperimentSpec("_selftest_sleep", "repro.campaign.registry:_selftest_sleep",
+                   {"seconds": 5.0}, hidden=True),
 ]
 
 REGISTRY: Dict[str, ExperimentSpec] = {spec.name: spec for spec in _SPECS}

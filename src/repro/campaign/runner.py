@@ -30,6 +30,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..errors import ConfigurationError
 from ..telemetry import (
     MetricsRegistry,
     fold_stage_summaries,
@@ -48,6 +49,7 @@ from .manifest import (
     read_manifest,
 )
 from .matrix import CampaignJob
+from .registry import get_experiment
 from .worker import execute_job, tables_of
 
 
@@ -287,6 +289,13 @@ class CampaignRunner:
         outcomes: Dict[CampaignJob, JobOutcome] = {}
         queue: List[tuple] = [(job, 1, 0.0) for job in jobs]  # (job, attempt, not_before)
         pending: Dict[object, tuple] = {}  # future -> (job, attempt, deadline)
+        # import every runner's module before the pool forks: the workers
+        # inherit them instead of each importing its own copy
+        for name in sorted({job.experiment for job in jobs}):
+            try:
+                get_experiment(name).runner
+            except ConfigurationError:  # unknown name: its jobs fail when run
+                pass
         pool = ProcessPoolExecutor(max_workers=self.workers)
         abandoned = False
         try:

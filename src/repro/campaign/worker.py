@@ -3,10 +3,11 @@
 :func:`execute_job` is the only function a pool worker runs.  It must be
 importable by name (``repro.campaign.worker.execute_job``) because the
 job description — not a closure — is what crosses the process boundary.
-Each invocation runs one experiment under its own
-:class:`~repro.telemetry.TraceSession` and returns a plain dict:
-pickle-friendly tables, the final metrics snapshot, wall-clock duration,
-and (on failure) the formatted traceback.  Exceptions never escape: a
+Each invocation imports its experiment's runner (see
+:class:`~repro.campaign.registry.ExperimentSpec`) before its clock starts,
+runs it under its own :class:`~repro.telemetry.TraceSession` and returns
+a plain dict: pickle-friendly tables, the final metrics snapshot,
+wall-clock duration, and (on failure) the formatted traceback.  Exceptions never escape: a
 crashing experiment yields a ``status="failed"`` outcome so the parent
 can retry or record it without losing the rest of the campaign.
 """
@@ -42,13 +43,19 @@ def execute_job(payload: Tuple[str, tuple, int]) -> Dict[str, object]:
     """
     job = CampaignJob(*payload[:3])
     mode = payload[3] if len(payload) > 3 else "journeys"
+    try:
+        # import the runner's module before the clock starts, so no
+        # job's duration includes an import
+        runner = get_experiment(job.experiment).runner
+    except Exception as exc:  # noqa: BLE001 — an unknown name fails the job
+        return _failed(job, exc, 0.0)
     t0 = time.perf_counter()
     try:
         # traces are capped low: a campaign wants metrics, not span dumps
         # (journeys stay on — they are bounded and cross the pickle
         # boundary as plain dicts for campaign-level attribution merging)
         with TraceSession(f"campaign:{job.job_id}", max_events=0) as session:
-            result = run_experiment(job)
+            result = runner(**job.kwargs_dict, seed=job.seed)
         journeys = session.journeys
         if mode == "summary":
             attribution: List[dict] = []
@@ -69,13 +76,18 @@ def execute_job(payload: Tuple[str, tuple, int]) -> Dict[str, object]:
             "duration_s": time.perf_counter() - t0,
         }
     except BaseException as exc:  # noqa: BLE001 — the whole point is containment
-        return {
-            "status": "failed",
-            "job_id": job.job_id,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-            "duration_s": time.perf_counter() - t0,
-        }
+        return _failed(job, exc, time.perf_counter() - t0)
+
+
+def _failed(job: CampaignJob, exc: BaseException, duration_s: float) -> Dict[str, object]:
+    """The outcome of a job that raised ``exc`` (call inside ``except``)."""
+    return {
+        "status": "failed",
+        "job_id": job.job_id,
+        "error": f"{type(exc).__name__}: {exc}",
+        "traceback": traceback.format_exc(),
+        "duration_s": duration_s,
+    }
 
 
 def tables_of(result) -> List:

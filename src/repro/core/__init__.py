@@ -13,7 +13,6 @@ from .experiment import (
     run_table2,
     run_table3,
     run_table4,
-    run_table5,
 )
 from .results import ResultTable
 from .system import CardSpec, ContuttoSystem
@@ -36,3 +35,13 @@ __all__ = [
     "run_table4",
     "run_table5",
 ]
+
+
+def __getattr__(name: str):
+    # Table 5's runner imports numpy and the accelerators; load it only
+    # when asked for (PEP 562), so no other job pays for them
+    if name == "run_table5":
+        from .acceleration import run_table5
+
+        return run_table5
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

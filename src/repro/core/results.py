@@ -14,7 +14,7 @@ disk — and two tables from identically-seeded runs compare equal with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, List
 
 
 def _plain_cell(value: Any) -> Any:

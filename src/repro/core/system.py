@@ -16,7 +16,7 @@ boots it through the real IPL flow.  Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..buffer import Centaur, CentaurConfig, DEFAULT
@@ -28,7 +28,6 @@ from ..firmware import (
     CardDescriptor,
     CentaurFsiSlave,
     ConTuttoFsiSlave,
-    CsrBlock,
     IplFlow,
     PowerSequencer,
     ServiceProcessor,
@@ -49,7 +48,7 @@ from ..processor import Power8Socket, SocketConfig
 from ..sim import Rng, Simulator
 from ..storage import PmemConfig, PmemRegion
 from ..telemetry import occupancy_sources, probe
-from ..units import GIB, MIB
+from ..units import GIB
 
 _MEMORY_FACTORIES = {
     "dram": lambda cap, name, ecc, timing: DdrDram(

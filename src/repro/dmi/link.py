@@ -26,7 +26,7 @@ and unpack.  Framing and protocol live in :mod:`repro.dmi.channel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..sim import ClockDomain, Rng, Simulator
@@ -69,6 +69,29 @@ class LinkErrorModel:
             bit = rng.randint(0, len(out) * 8 - 1)
             out[bit // 8] ^= 1 << (bit % 8)
         return bytes(out)
+
+
+def configure_link_errors(
+    links: Iterable[SerialLink], frame_error_rate: float, max_flips: int = 1
+) -> List[Tuple[float, int]]:
+    """Set the error model of each link; returns the previous settings.
+
+    Every path that configures link errors — ``SocketConfig.
+    frame_error_rate`` at attach time, the ``dmi.bit_errors`` injector at
+    runtime — goes through here, so there is exactly one place that knows
+    how a BER turns into :class:`LinkErrorModel` state.
+    """
+    if not 0.0 <= frame_error_rate <= 1.0:
+        raise ConfigurationError(
+            f"frame error rate {frame_error_rate} outside [0, 1]"
+        )
+    previous: List[Tuple[float, int]] = []
+    for link in links:
+        model = link.error_model
+        previous.append((model.frame_error_rate, model.max_flips))
+        model.frame_error_rate = frame_error_rate
+        model.max_flips = max_flips
+    return previous
 
 
 class SerialLink:

@@ -22,13 +22,16 @@ The hot path is therefore table-driven: the 8-step state transition and the
 output byte are both GF(2)-linear in the 23-bit state, so three 256-entry
 tables (one per state byte) advance the LFSR a whole byte per lookup, lane
 keystreams are generated in cached blocks, and frames are XORed against the
-keystream with single big-int operations.  The historical bit-serial
-``next_bit`` / ``next_byte`` steps survive only as the golden reference in
-``tests/dmi/test_scrambler_golden.py``, which proves both paths emit
-identical keystreams, byte for byte.
+keystream with single big-int operations.  The tables are built on first
+use, not at import: clean links never generate keystream.  The historical
+bit-serial ``next_bit`` / ``next_byte`` steps survive only as the golden
+reference in ``tests/dmi/test_scrambler_golden.py``, which proves both
+paths emit identical keystreams, byte for byte.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 LFSR_WIDTH = 23
 LFSR_TAPS = (23, 21, 16, 8, 5, 2)  # feedback taps, x^0 implied
@@ -41,7 +44,7 @@ def _step_bits(state: int, nbits: int) -> tuple:
     """Bit-serial LFSR walk: advance ``state`` by ``nbits``; return (state, out).
 
     Output bits are packed LSB-first (the first output bit is bit 0).  Only
-    the table builders below call it; the hot path never steps bits.
+    the table builder below calls it; the hot path never steps bits.
     """
     out = 0
     for i in range(nbits):
@@ -53,7 +56,8 @@ def _step_bits(state: int, nbits: int) -> tuple:
     return state, out
 
 
-def _build_byte_tables(nbits: int) -> tuple:
+@lru_cache(maxsize=None)
+def _byte_tables(nbits: int) -> tuple:
     """Per-state-byte tables advancing the LFSR ``nbits`` bits per lookup.
 
     The ``nbits``-step map ``state -> (state', output_bits)`` is
@@ -61,6 +65,11 @@ def _build_byte_tables(nbits: int) -> tuple:
     full-state image.  Each entry packs ``(state' << nbits) | output_bits``
     — XOR distributes over the packed fields, so one XOR chain combines
     both at once.
+
+    Built once, on first use: ``nbits=8`` for a block's odd trailing byte,
+    ``nbits=16`` for the two-bytes-per-lookup loop.  Clean links never
+    generate keystream (their lanes advance by a lazy skip tally), so a
+    run without an armed error model never builds them.
     """
     tables = []
     for byte_index in range(3):
@@ -70,12 +79,6 @@ def _build_byte_tables(nbits: int) -> tuple:
             table.append((state << nbits) | out)
         tables.append(tuple(table))
     return tuple(tables)
-
-
-#: single-byte tables (odd trailing byte of a block)
-_TAB0, _TAB1, _TAB2 = _build_byte_tables(8)
-#: double-byte tables (the block-generation loop emits two bytes per lookup)
-_TAB16_0, _TAB16_1, _TAB16_2 = _build_byte_tables(16)
 
 
 class LfsrStream:
@@ -94,14 +97,15 @@ class LfsrStream:
         lazy-skip path uses it when keystream bytes were never observed.
         """
         state = self.state
-        tab0, tab1, tab2 = _TAB16_0, _TAB16_1, _TAB16_2
+        tab0, tab1, tab2 = _byte_tables(16)
         for _ in range(nbytes >> 1):
             state = (
                 tab0[state & 0xFF] ^ tab1[(state >> 8) & 0xFF] ^ tab2[state >> 16]
             ) >> 16
         if nbytes & 1:
+            tab0, tab1, tab2 = _byte_tables(8)
             state = (
-                _TAB0[state & 0xFF] ^ _TAB1[(state >> 8) & 0xFF] ^ _TAB2[state >> 16]
+                tab0[state & 0xFF] ^ tab1[(state >> 8) & 0xFF] ^ tab2[state >> 16]
             ) >> 8
         self.state = state
 
@@ -114,14 +118,15 @@ class LfsrStream:
         """
         state = self.state
         out = bytearray(nbytes)
-        tab0, tab1, tab2 = _TAB16_0, _TAB16_1, _TAB16_2
+        tab0, tab1, tab2 = _byte_tables(16)
         for i in range(0, nbytes - 1, 2):
             packed = tab0[state & 0xFF] ^ tab1[(state >> 8) & 0xFF] ^ tab2[state >> 16]
             state = packed >> 16
             out[i] = packed & 0xFF
             out[i + 1] = (packed >> 8) & 0xFF
         if nbytes & 1:
-            packed = _TAB0[state & 0xFF] ^ _TAB1[(state >> 8) & 0xFF] ^ _TAB2[state >> 16]
+            tab0, tab1, tab2 = _byte_tables(8)
+            packed = tab0[state & 0xFF] ^ tab1[(state >> 8) & 0xFF] ^ tab2[state >> 16]
             state = packed >> 8
             out[nbytes - 1] = packed & 0xFF
         self.state = state

@@ -47,9 +47,9 @@ simulator runs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..dmi.link import LinkErrorModel, SerialLink
+from ..dmi.link import LinkErrorModel, SerialLink, configure_link_errors
 from ..errors import ConfigurationError, ReplayError
 from ..memory.dram import DdrDram
 from ..memory.nvdimm import NvdimmN, NvdimmState
@@ -85,34 +85,6 @@ def make_injector(spec: FaultSpec, sim: Simulator, rng: Rng) -> "Injector":
             f"unknown injector {spec.injector!r} (known: {', '.join(injector_names())})"
         )
     return cls(sim, spec, rng)
-
-
-# ---------------------------------------------------------------------------
-# Link-error configuration: the single source of truth
-# ---------------------------------------------------------------------------
-
-
-def configure_link_errors(
-    links: Iterable[SerialLink], frame_error_rate: float, max_flips: int = 1
-) -> List[Tuple[float, int]]:
-    """Set the error model of each link; returns the previous settings.
-
-    Every path that configures link errors — ``SocketConfig.
-    frame_error_rate`` at attach time, the ``dmi.bit_errors`` injector at
-    runtime — goes through here, so there is exactly one place that knows
-    how a BER turns into :class:`LinkErrorModel` state.
-    """
-    if not 0.0 <= frame_error_rate <= 1.0:
-        raise ConfigurationError(
-            f"frame error rate {frame_error_rate} outside [0, 1]"
-        )
-    previous: List[Tuple[float, int]] = []
-    for link in links:
-        model = link.error_model
-        previous.append((model.frame_error_rate, model.max_flips))
-        model.frame_error_rate = frame_error_rate
-        model.max_flips = max_flips
-    return previous
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ deconfiguring hardware that faults too often (Section 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..sim import Simulator

@@ -83,7 +83,7 @@ class AvalonBus:
     def add_slave(self, base: int, size: int, slave: object, name: str = "") -> None:
         """Map ``slave`` at ``[base, base+size)``; windows must not overlap."""
         if size <= 0:
-            raise ConfigurationError(f"slave window size must be positive")
+            raise ConfigurationError("slave window size must be positive")
         for win in self._windows:
             if base < win.base + win.size and win.base < base + size:
                 raise ConfigurationError(

@@ -13,7 +13,6 @@ them back over the other channel) exists for comparison via the socket.
 
 from __future__ import annotations
 
-from typing import List
 
 from ..errors import AccelError, ConfigurationError
 from ..sim import Process, Signal, Simulator

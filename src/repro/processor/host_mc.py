@@ -10,7 +10,6 @@ FPGA's round-trip latency low.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from ..dmi import Command, DmiChannel, Opcode, TagPool
 from ..errors import ProtocolError

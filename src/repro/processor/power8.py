@@ -28,6 +28,7 @@ from ..dmi import (
     SerialLink,
     TrainingConfig,
 )
+from ..dmi.link import configure_link_errors
 from ..errors import ConfigurationError, FirmwareError
 from ..sim import Rng, Signal, Simulator, dmi_link_clock
 from ..units import CACHE_LINE_BYTES, ns_to_ps
@@ -119,8 +120,6 @@ class Power8Socket:
         )
         # one source of truth for link-error configuration: the same helper
         # the dmi.bit_errors fault injector uses (validates the rate too)
-        from ..faults.injectors import configure_link_errors
-
         configure_link_errors([down, up], self.config.frame_error_rate)
         tx, rx, prep, freeze = buffer.endpoint_overheads()
         depth_kwargs = (

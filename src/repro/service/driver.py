@@ -191,4 +191,3 @@ class ServiceDriver:
             schedule, rows=rows,
             calib_report=calib_report, shard_report=shard_report,
         )
-

@@ -1,6 +1,6 @@
 """Accelerator DMA journeys: pace/transfer partition with zero residual."""
 
-from repro.core.experiment import run_table5
+from repro.core.acceleration import run_table5
 from repro.telemetry import TraceSession
 from repro.telemetry.attribution import QUEUE_STAGES, STAGE_ORDER
 

@@ -9,7 +9,6 @@ from repro.accel import (
     INSTRUCTION_BYTES,
     Instruction,
     Op,
-    assemble,
     block_move,
     decode_instruction,
     decode_program,

@@ -121,13 +121,31 @@ class TestPrefetch:
         assert cache.ways == 16
 
 
+class TestLazySets:
+    """A set is created by its first fill; nothing else allocates one, so
+    building a Centaur costs nothing per set it never touches."""
+
+    def test_fresh_cache_holds_no_sets(self):
+        assert not BufferCache()._sets
+
+    def test_probes_of_absent_sets_create_none(self):
+        cache = BufferCache()
+        assert cache.lookup(0) is None
+        assert not cache.update(0, line(1))
+        assert cache.next_line_candidate(0) == CACHE_LINE_BYTES
+        assert not cache._sets
+        cache.fill(0, line(1))
+        assert len(cache._sets) == 1
+        assert cache.lookup(0) == line(1)
+
+
 class TestLinesHeld:
     """``lines_held`` is maintained incrementally for the occupancy
     sampler; it must track the true resident count through every
     mutating operation."""
 
     def _true_count(self, cache):
-        return sum(len(s) for s in cache._sets)
+        return sum(len(s) for s in cache._sets.values())
 
     def test_counts_fills_and_evictions(self):
         cache = small_cache(ways=2, sets=4)

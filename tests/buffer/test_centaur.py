@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.memory import DdrDram
 from repro.sim import Signal, Simulator
 from repro.telemetry import TraceSession
-from repro.units import GIB, MIB
+from repro.units import MIB
 
 
 def make_centaur(sim, config=DEFAULT, ports=4, capacity=256 * MIB):
@@ -113,7 +113,6 @@ class TestCacheBehaviour:
         run_command(sim, centaur, Command(Opcode.READ, 0, 0))
         sim.run()  # let the prefetch land
         assert centaur.cache.prefetches_issued == 1
-        t0 = sim.now_ps
         run_command(sim, centaur, Command(Opcode.READ, 128, 1))
         assert centaur.cache.prefetch_hits == 1
 

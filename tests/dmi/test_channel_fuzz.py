@@ -6,7 +6,6 @@ corrupts frames.  Hypothesis generates operation sequences and error rates
 and checks exactly that against a reference dict.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.dmi import Command, DownstreamFrame, Opcode, UpstreamFrame
+from repro.dmi import Command, DownstreamFrame, Opcode
 from repro.sim import Simulator
-from repro.units import CACHE_LINE_BYTES
 
 from .test_channel import make_channel, train
 

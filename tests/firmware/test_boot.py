@@ -1,7 +1,5 @@
 """Tests for the IPL (boot) flow, including mixed configurations."""
 
-import pytest
-
 from repro.buffer import Centaur
 from repro.dmi import TrainingConfig
 from repro.firmware import (

@@ -6,8 +6,6 @@ overheads take their cut, and a fully configured socket scales across
 channels (Figure 1: 8 channels for 410 GB/s peak).
 """
 
-import pytest
-
 from repro import CardSpec, ContuttoSystem
 from repro.buffer import LATENCY_OPTIMIZED
 from repro.units import CACHE_LINE_BYTES, GIB, S

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import CardSpec, ContuttoSystem
-from repro.dmi import Command, Opcode
 from repro.errors import ReplayError
 from repro.units import CACHE_LINE_BYTES, GIB
 

@@ -1,9 +1,6 @@
 """ECC end to end: corrected cells are invisible to the full DMI path."""
 
-import pytest
-
 from repro import CardSpec, ContuttoSystem
-from repro.memory import UncorrectableEccError
 from repro.units import CACHE_LINE_BYTES, GIB
 
 

@@ -7,11 +7,9 @@ from repro.buffer import Centaur
 from repro.errors import FirmwareError, SimulationError
 from repro.firmware import (
     CardDescriptor,
-    CentaurFsiSlave,
     ConTuttoFsiSlave,
     CsrBlock,
     IplFlow,
-    PluggedCard,
     PowerSequencer,
 )
 from repro.errors import PlugRuleError

@@ -6,7 +6,6 @@ from repro import CardSpec, ContuttoSystem
 from repro.accel import InlineAccelClient, pack_lanes, unpack_lanes
 from repro.memory import NvdimmState
 from repro.processor import SocketConfig
-from repro.storage import PmemBlockDevice, PmemConfig
 from repro.units import GIB, MIB, CACHE_LINE_BYTES
 
 

@@ -9,7 +9,6 @@ from repro.memory import (
     PatrolScrubber,
     ScrubConfig,
 )
-from repro.memory.scrubber import us_to_ps
 from repro.sim import Simulator
 from repro.units import CACHE_LINE_BYTES, MIB
 
@@ -60,7 +59,6 @@ class TestPatrolScrubber:
     def test_scrubbing_prevents_error_accumulation(self):
         # without scrubbing, two hits on one word over time are fatal;
         # with a patrol between them, both are corrected independently
-        sim = Simulator()
         dram = ecc_dram(capacity=4 * CACHE_LINE_BYTES)
         dram.write(0, bytes(CACHE_LINE_BYTES), 0)
 

@@ -7,7 +7,7 @@ from repro.dmi import Command, Opcode
 from repro.errors import ConfigurationError, FirmwareError
 from repro.fpga import ConTuttoBuffer
 from repro.memory import DdrDram
-from repro.processor import Power8Socket, SocketConfig
+from repro.processor import Power8Socket
 from repro.sim import Rng, Signal, Simulator
 from repro.units import GIB, MIB
 

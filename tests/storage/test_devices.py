@@ -7,7 +7,6 @@ from repro.sim import Simulator
 from repro.storage import (
     FLASH_X4_PCIE,
     HardDiskDrive,
-    HddGeometry,
     MRAM_PCIE,
     NVRAM_PCIE,
     NvWriteCache,

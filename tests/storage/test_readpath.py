@@ -7,8 +7,6 @@ destager retires residency oldest-first so a hit can never land on log
 space already recycled for new writes.
 """
 
-import pytest
-
 from repro.errors import StorageError
 from repro.sim import Signal, Simulator
 from repro.storage import (

@@ -6,8 +6,6 @@ tiny: five configs at rung 0, two survivors at rung 1.
 
 import json
 
-import pytest
-
 from repro.campaign import ResultCache
 from repro.tune import TuneDriver, TuneSpec
 

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, StorageError
 from repro.sim import Rng, Simulator
 from repro.storage import MRAM_PCIE, NVRAM_PCIE, PcieAttachedStore, SolidStateDrive
-from repro.units import CACHE_LINE_BYTES, GIB, MIB
+from repro.units import CACHE_LINE_BYTES, GIB
 from repro.workloads import (
     FioJob,
     FioRunner,

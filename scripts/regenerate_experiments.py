@@ -46,6 +46,9 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return 2
     only = [ALIASES.get(name, name) for name in args.only] if args.only else None
     jobs = ScenarioMatrix.paper(only=only).expand()
     report = CampaignRunner(jobs, workers=args.jobs).run()
@@ -56,7 +59,7 @@ def main(argv=None) -> int:
     if report.failed:
         return 1
 
-    text = "\n\n".join(table.to_markdown() for table in report.tables()) + "\n"
+    text = report.markdown()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -40,12 +40,13 @@ from pathlib import Path
 
 from repro.campaign import (
     ALIASES,
-    CampaignRunner,
     ResultCache,
     ScenarioMatrix,
     apply_fault_plan,
     experiment_names,
+    run_campaign,
 )
+from repro.errors import ConfigurationError
 from repro.report import load_fault_plan
 
 
@@ -123,48 +124,44 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.jobs < 1 or args.retries < 0:
+        print("--jobs must be >= 1 and --retries >= 0", file=sys.stderr)
+        return 2
+    if args.resume and args.no_cache:
+        print("--resume needs the cache; drop --no-cache", file=sys.stderr)
+        return 2
+    try:
+        plan = load_fault_plan(args.faults) if args.faults else None
+    except ConfigurationError as exc:
+        print(f"fault plan: {exc}", file=sys.stderr)
+        return 2
     if args.matrix:
         matrix = load_matrix(args.matrix)
     else:
         only = [ALIASES.get(name, name) for name in args.only] if args.only else None
         matrix = ScenarioMatrix.paper(only=only, seed=args.seed)
     jobs = matrix.expand()
-    if args.faults:
-        jobs = apply_fault_plan(jobs, load_fault_plan(args.faults))
+    if plan is not None:
+        jobs = apply_fault_plan(jobs, plan)
     if not jobs:
         print("matrix expanded to zero jobs", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.resume and cache is None:
-        print("--resume needs the cache; drop --no-cache", file=sys.stderr)
-        return 2
-
-    runner = CampaignRunner(
-        jobs,
+    report = run_campaign(
+        jobs, out_dir,
+        params={"jobs": args.jobs, "seed": matrix.base_seed, "count": len(jobs)},
         workers=args.jobs,
-        cache=cache,
-        manifest_path=str(out_dir / "manifest.jsonl"),
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
         resume=args.resume,
         timeout_s=args.timeout,
         retries=args.retries,
         base_seed=matrix.base_seed,
         attribution_mode="summary" if args.fold_attribution else "journeys",
     )
-    report = runner.run()
-
-    markdown = "\n\n".join(t.to_markdown() for t in report.tables()) + "\n"
-    (out_dir / "experiments.md").write_text(markdown, encoding="utf-8")
-    report.write_telemetry(
-        str(out_dir / "metrics.jsonl"),
-        params={"jobs": args.jobs, "seed": matrix.base_seed, "count": len(jobs)},
-    )
-    report.write_attribution(str(out_dir / "attribution.jsonl"))
 
     if args.verbose:
-        sys.stdout.write(markdown)
+        sys.stdout.write(report.markdown())
     print(f"campaign: {report.summary()}", file=sys.stderr)
     for outcome in report.failed:
         print(f"  FAILED {outcome.job.job_id}: {outcome.error}", file=sys.stderr)

@@ -20,12 +20,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.campaign import experiment_names, get_experiment
+from repro.campaign import experiment_names, get_experiment, run_experiment
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import render_time_buckets, report_from_snapshot, time_buckets
-from repro.report import journeys_of_session, load_fault_plan
-from repro.telemetry import TraceSession, meta_record, result_record
-from repro.telemetry.attribution import LatencyBreakdown
+from repro.report import load_fault_plan
 
 FAULT_EXPERIMENTS = [
     name for name in experiment_names()
@@ -72,55 +70,38 @@ def main(argv=None) -> int:
 
     failures = 0
     for name in names:
-        spec = get_experiment(name)
-        kwargs = dict(spec.defaults)
-        if args.samples is not None and kwargs:
-            kwargs[next(iter(kwargs))] = args.samples
-        kwargs["seed"] = args.seed
-        if plan_json is not None:
-            kwargs["faults"] = plan_json
-
+        out_dir = Path(args.out) / name if args.out else None
         print(f"=== {name} ===")
         try:
-            with TraceSession(f"chaos:{name}", max_events=0) as session:
-                result = spec.runner(**kwargs)
+            session, tables = run_experiment(
+                name, out_dir, samples=args.samples, seed=args.seed,
+                faults=plan_json, session_name=f"chaos:{name}", max_events=0,
+            )
         except ReproError as exc:
             print(f"error: {name} failed: {exc}", file=sys.stderr)
             failures += 1
             continue
-        tables = list(result) if isinstance(result, tuple) else [result]
         for table in tables:
             print(table.to_markdown())
             print()
 
-        snapshot = session.registry.snapshot()
-        breakdown = LatencyBreakdown()
-        journey_recs = journeys_of_session(session)
-        breakdown.add_records(journey_recs)
-        report = report_from_snapshot(snapshot, plan_name=name)
+        breakdown = session.breakdown()
+        report = report_from_snapshot(session.registry.snapshot(), plan_name=name)
         if report is None:
             print("no faults were injected (empty plan or all targets skipped)")
         else:
             print(report.render(breakdown))
             # time-bucketed resilience view: injections vs latency over
             # sim time, from the windows controllers published at stop()
-            windows = getattr(session, "fault_windows", None)
-            if windows and journey_recs:
-                rows = time_buckets(windows, journey_recs, buckets=args.buckets)
+            windows = session.fault_windows
+            journeys = session.journey_records() if windows else []
+            if journeys:
+                rows = time_buckets(windows, journeys, buckets=args.buckets)
                 if rows:
                     print()
                     print(render_time_buckets(rows))
         print()
-
-        if args.out:
-            out_dir = Path(args.out) / name
-            out_dir.mkdir(parents=True, exist_ok=True)
-            session.write_metrics(
-                out_dir / "metrics.jsonl",
-                extra_records=[meta_record(name, kwargs)]
-                + [result_record(t) for t in tables],
-            )
-            session.write_attribution(out_dir / "attribution.jsonl")
+        if out_dir is not None:
             print(f"artifacts: {out_dir}", file=sys.stderr)
     return 1 if failures else 0
 

@@ -77,8 +77,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+    if args.jobs < 1 or args.retries < 0:
+        print("--jobs must be >= 1 and --retries >= 0", file=sys.stderr)
         return 2
     try:
         spec = SuiteSpec.load(args.spec)

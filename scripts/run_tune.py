@@ -88,6 +88,9 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.jobs < 1 or args.retries < 0:
+        print("--jobs must be >= 1 and --retries >= 0", file=sys.stderr)
+        return 2
     try:
         spec = TuneSpec.from_json(
             Path(args.spec).read_text(encoding="utf-8")
@@ -98,8 +101,11 @@ def main(argv=None) -> int:
     except ReproError as exc:
         print(f"bad tune spec: {exc}", file=sys.stderr)
         return 2
-
-    faults = load_fault_plan(args.faults) if args.faults else None
+    try:
+        faults = load_fault_plan(args.faults) if args.faults else None
+    except ReproError as exc:
+        print(f"fault plan: {exc}", file=sys.stderr)
+        return 2
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     driver = TuneDriver(

@@ -25,9 +25,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.campaign import ALIASES, experiment_names, get_experiment
+from repro.campaign import ALIASES, experiment_names, get_experiment, run_experiment
 from repro.errors import ConfigurationError
-from repro.telemetry import TraceSession, meta_record, result_record
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -67,50 +66,27 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def resolve(name: str):
-    """Map a CLI name to (canonical name, runner, kwargs)."""
-    spec = get_experiment(name)
-    return spec.name, spec.runner, dict(spec.defaults)
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        name, runner, kwargs = resolve(args.experiment)
+        spec = get_experiment(args.experiment)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.samples is not None:
-        # each runner exposes exactly one size knob; map --samples onto it
-        knob = next(iter(kwargs), None)
-        if knob is None:
-            print(f"note: {name} takes no sample knob; --samples ignored",
-                  file=sys.stderr)
-        else:
-            kwargs[knob] = args.samples
-    kwargs["seed"] = args.seed
-
-    out_dir = Path(args.out or Path("traces") / name)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    session_kwargs = {"kernel_events": args.kernel_events}
+    if args.samples is not None and not spec.defaults:
+        print(f"note: {spec.name} takes no sample knob; --samples ignored",
+              file=sys.stderr)
+    session_options = {"kernel_events": args.kernel_events}
     if args.max_events is not None:
-        session_kwargs["max_events"] = args.max_events
+        session_options["max_events"] = args.max_events
 
-    with TraceSession(name, **session_kwargs) as session:
-        result = runner(**kwargs)
-    tables = list(result) if isinstance(result, tuple) else [result]
-
-    trace_path = out_dir / "trace.json"
-    metrics_path = out_dir / "metrics.jsonl"
-    attribution_path = out_dir / "attribution.jsonl"
-    session.write_chrome(trace_path)
-    session.write_metrics(
-        metrics_path,
-        extra_records=[meta_record(name, kwargs)]
-        + [result_record(t) for t in tables],
+    out_dir = Path(args.out or Path("traces") / spec.name)
+    session, tables = run_experiment(
+        spec.name, out_dir, samples=args.samples, seed=args.seed,
+        **session_options,
     )
-    session.write_attribution(attribution_path)
+    trace_path = out_dir / "trace.json"
+    session.write_chrome(trace_path)
 
     for table in tables:
         print(table.to_markdown())
@@ -118,10 +94,10 @@ def main(argv=None) -> int:
     print(f"trace:   {trace_path}  "
           f"({session.span_count} spans, {session.instant_count} instants, "
           f"{sorted(session.categories())})")
-    print(f"metrics: {metrics_path}")
+    print(f"metrics: {out_dir / 'metrics.jsonl'}")
     journeys = session.journeys
     if journeys is not None:
-        print(f"attribution: {attribution_path}  "
+        print(f"attribution: {out_dir / 'attribution.jsonl'}  "
               f"({len(journeys.completed)} journeys, "
               f"{len(journeys.scenarios())} scenarios)")
     if session.dropped_events:

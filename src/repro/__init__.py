@@ -23,7 +23,7 @@ Quickstart::
 See ``examples/`` and ``benchmarks/`` for the paper's experiments.
 """
 
-from importlib import import_module
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -55,16 +55,4 @@ _EXPORTS = {
 }
 
 __all__ = ["__version__", *_EXPORTS]
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,11 +19,14 @@ where it stopped.  Per-worker telemetry snapshots merge into one
     for table in report.tables():
         print(table.format())
 
-See ``docs/campaign.md`` for the matrix format, manifest/cache layout,
+:func:`run_campaign` runs a job list into an output directory (manifest,
+``experiments.md``, ``metrics.jsonl``, ``attribution.jsonl``), and
+:func:`run_experiment` runs one experiment outside any campaign.  See
+``docs/campaign.md`` for the matrix format, manifest/cache layout,
 and failure semantics; ``scripts/run_campaign.py`` is the CLI.
 """
 
-from importlib import import_module
+from .._lazy import lazy_exports
 
 #: public name -> submodule imported on first access (PEP 562): the
 #: registry and matrix load without the runner's pool machinery, and no
@@ -50,21 +53,10 @@ _EXPORTS = {
     "job_key": ".cache",
     "job_record": ".manifest",
     "read_manifest": ".manifest",
+    "run_campaign": ".runner",
     "run_experiment": ".worker",
     "tables_of": ".worker",
 }
 
 __all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
@@ -118,15 +119,32 @@ class CampaignReport:
             f"{self.wall_clock_s:.2f}s wall clock on {self.workers} worker(s)"
         )
 
-    def write_telemetry(self, path: str, params: Optional[dict] = None) -> int:
-        """One ``repro.telemetry/v1`` artifact for the whole campaign.
+    def markdown(self) -> str:
+        """Every table as markdown, matrix order: the ``experiments.md``
+        (and ``regenerate_experiments.py``) format."""
+        return "\n\n".join(t.to_markdown() for t in self.tables()) + "\n"
 
-        Record stream: meta, one ``result`` per table, one ``snapshot``
-        per executed job (labelled ``job:<id>``), then the merged final
-        snapshot — so the artifact ends with campaign-level totals, the
-        same "last snapshot wins" convention single-run artifacts use.
+    def write_artifacts(self, out_dir, params: dict, name: str = "campaign") -> None:
+        """Write ``metrics.jsonl`` and ``attribution.jsonl`` into ``out_dir``.
+
+        ``metrics.jsonl`` (``repro.telemetry/v1``): a meta record carrying
+        ``params``, one ``result`` per table, one ``snapshot`` per executed
+        job (labelled ``job:<id>``), then the merged final snapshot — so
+        the artifact ends with campaign-level totals, the same "last
+        snapshot wins" convention single-run artifacts use.
+
+        ``attribution.jsonl`` (``repro.attribution/v1``, named ``name``):
+        per-job journey records merge the way metric snapshots do —
+        sources sorted by job id, journeys tagged with their source,
+        summaries recomputed over the union — deterministic for any
+        worker count or completion order.  Cache/resume hits carry no
+        journeys (the job never ran), so only executed jobs contribute.
+        Campaigns run in summary attribution mode carry per-worker
+        ``stage_summary`` records instead of journeys; those fold via
+        :func:`fold_stage_summaries`, keeping the merge memory bounded.
         """
-        records = [meta_record("campaign", params or {}, summary=self.summary())]
+        out_dir = Path(out_dir)
+        records = [meta_record("campaign", params, summary=self.summary())]
         records += [result_record(t) for t in self.tables()]
         for outcome in self.outcomes:
             if outcome.metrics:
@@ -134,34 +152,23 @@ class CampaignReport:
                     snapshot_record(f"job:{outcome.job.job_id}", None, outcome.metrics)
                 )
         records.append(snapshot_record("merged", None, self.merged_metrics()))
-        return write_jsonl(path, records)
+        write_jsonl(out_dir / "metrics.jsonl", records)
 
-    def write_attribution(self, path: str, name: str = "campaign") -> int:
-        """One ``repro.attribution/v1`` artifact for the whole campaign.
-
-        Per-job journey records merge the way metric snapshots do: sources
-        sorted by job id, journeys tagged with their source, summaries
-        recomputed over the union — deterministic for any worker count or
-        completion order.  Cache/resume hits carry no journeys (the job
-        never ran), so only executed jobs contribute.
-
-        Campaigns run in summary attribution mode carry per-worker
-        ``stage_summary`` records instead of journeys; those fold via
-        :func:`fold_stage_summaries`, keeping the merge memory bounded.
-        """
         folded = [
             (f"job:{o.job.job_id}", o.attribution_summaries)
             for o in self.outcomes
             if o.attribution_summaries
         ]
         if folded and not any(o.attribution for o in self.outcomes):
-            return write_jsonl(path, fold_stage_summaries(folded, name=name))
-        sources = [
-            (f"job:{o.job.job_id}", o.attribution)
-            for o in self.outcomes
-            if o.attribution
-        ]
-        return write_jsonl(path, merge_attribution(sources, name=name))
+            records = fold_stage_summaries(folded, name=name)
+        else:
+            sources = [
+                (f"job:{o.job.job_id}", o.attribution)
+                for o in self.outcomes
+                if o.attribution
+            ]
+            records = merge_attribution(sources, name=name)
+        write_jsonl(out_dir / "attribution.jsonl", records)
 
 
 class CampaignRunner:
@@ -411,3 +418,25 @@ class CampaignRunner:
                 error=outcome.error, traceback=outcome.traceback,
             )
         )
+
+
+def run_campaign(
+    jobs: List[CampaignJob], out_dir, params: dict, name: str = "campaign",
+    **options,
+) -> CampaignReport:
+    """Run ``jobs`` into ``out_dir`` and return the report.
+
+    ``manifest.jsonl`` is journaled while the jobs run; then
+    ``experiments.md`` (:meth:`CampaignReport.markdown`) and the
+    :meth:`CampaignReport.write_artifacts` pair are written.  ``options``
+    are :class:`CampaignRunner` arguments.  ``run_campaign.py`` and the
+    suite runner's campaign sections both run through here.
+    """
+    out_dir = Path(out_dir)
+    # the runner checks its options before the directory exists
+    runner = CampaignRunner(jobs, manifest_path=str(out_dir / "manifest.jsonl"), **options)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = runner.run()
+    (out_dir / "experiments.md").write_text(report.markdown(), encoding="utf-8")
+    report.write_artifacts(out_dir, params, name)
+    return report

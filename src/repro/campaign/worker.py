@@ -10,24 +10,64 @@ a plain dict: pickle-friendly tables, the final metrics snapshot,
 wall-clock duration, and (on failure) the formatted traceback.  Exceptions never escape: a
 crashing experiment yields a ``status="failed"`` outcome so the parent
 can retry or record it without losing the rest of the campaign.
+
+:func:`run_experiment` is the one-off counterpart for the CLIs: one named
+experiment under a session, its artifacts written, its exceptions raised.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
-from ..telemetry import TraceSession, journey_record
+from ..telemetry import TraceSession, meta_record, result_record
 from ..telemetry.attribution import stage_summary_records
 from .matrix import CampaignJob
 from .registry import get_experiment
 
 
-def run_experiment(job: CampaignJob):
-    """Run one job's experiment in-process; returns the raw result."""
-    spec = get_experiment(job.experiment)
-    return spec.runner(**job.kwargs_dict, seed=job.seed)
+def run_experiment(
+    name: str,
+    out_dir=None,
+    *,
+    samples: Optional[int] = None,
+    seed: int = 0,
+    faults: Optional[str] = None,
+    session_name: Optional[str] = None,
+    **session_options,
+) -> Tuple[TraceSession, List]:
+    """Run one named experiment in-process under its own TraceSession.
+
+    The one-off path of the CLIs, outside any campaign.  ``samples``
+    replaces the spec's size knob (its first default; a spec without
+    defaults has none), ``seed`` and ``faults`` join its kwargs, and
+    ``session_options`` go to the session, named ``session_name`` or
+    the spec's name.  With ``out_dir``, ``metrics.jsonl`` (a meta record,
+    one ``result`` per table, then the session's snapshots) and
+    ``attribution.jsonl`` are written there.  Returns the closed session
+    and the result tables.
+    """
+    spec = get_experiment(name)
+    kwargs = dict(spec.defaults)
+    if samples is not None and kwargs:
+        kwargs[next(iter(kwargs))] = samples
+    kwargs["seed"] = seed
+    if faults is not None:
+        kwargs["faults"] = faults
+    with TraceSession(session_name or spec.name, **session_options) as session:
+        tables = tables_of(spec.runner(**kwargs))
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        session.write_metrics(
+            out_dir / "metrics.jsonl",
+            extra_records=[meta_record(spec.name, kwargs)]
+            + [result_record(t) for t in tables],
+        )
+        session.write_attribution(out_dir / "attribution.jsonl")
+    return session, tables
 
 
 def execute_job(payload: Tuple[str, tuple, int]) -> Dict[str, object]:
@@ -56,15 +96,11 @@ def execute_job(payload: Tuple[str, tuple, int]) -> Dict[str, object]:
         # boundary as plain dicts for campaign-level attribution merging)
         with TraceSession(f"campaign:{job.job_id}", max_events=0) as session:
             result = runner(**job.kwargs_dict, seed=job.seed)
-        journeys = session.journeys
         if mode == "summary":
             attribution: List[dict] = []
             summaries = stage_summary_records(session.breakdown())
         else:
-            attribution = (
-                [journey_record(j) for j in journeys.completed]
-                if journeys is not None else []
-            )
+            attribution = session.journey_records()
             summaries = []
         return {
             "status": "ok",

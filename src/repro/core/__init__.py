@@ -1,47 +1,28 @@
 """Core integration layer: system builder, experiment harness, results."""
 
-from . import calibration
-from .experiment import (
-    FIO_STORES,
-    measure_centaur_latencies,
-    measure_contutto_latencies,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fio_matrix,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
-from .results import ResultTable
-from .system import CardSpec, ContuttoSystem
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CardSpec",
-    "ContuttoSystem",
-    "FIO_STORES",
-    "ResultTable",
-    "calibration",
-    "measure_centaur_latencies",
-    "measure_contutto_latencies",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_fio_matrix",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-]
+#: public name -> submodule imported on first access (PEP 562): a job
+#: that needs only ``ResultTable`` or Table 5's runner loads no system
+#: stack, and only Table 5 loads numpy
+_EXPORTS = {
+    "CardSpec": ".system",
+    "ContuttoSystem": ".system",
+    "FIO_STORES": ".experiment",
+    "ResultTable": ".results",
+    "calibration": ".calibration",
+    "measure_centaur_latencies": ".experiment",
+    "measure_contutto_latencies": ".experiment",
+    "run_fig6": ".experiment",
+    "run_fig7": ".experiment",
+    "run_fig8": ".experiment",
+    "run_fio_matrix": ".experiment",
+    "run_table1": ".experiment",
+    "run_table2": ".experiment",
+    "run_table3": ".experiment",
+    "run_table4": ".experiment",
+    "run_table5": ".acceleration",
+}
 
-
-def __getattr__(name: str):
-    # Table 5's runner imports numpy and the accelerators; load it only
-    # when asked for (PEP 562), so no other job pays for them
-    if name == "run_table5":
-        from .acceleration import run_table5
-
-        return run_table5
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

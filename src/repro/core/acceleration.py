@@ -26,8 +26,8 @@ from ..accel import (
 )
 from ..memory import DdrDram, MemoryController
 from ..sim import Simulator
+from ..telemetry import probe
 from ..units import MIB, S
-from .experiment import _set_attribution_scenario
 from .results import ResultTable
 
 
@@ -65,7 +65,7 @@ def run_table5(size_mib: int = 16, seed: int = 0) -> ResultTable:
     # memory copy
     sim, dimms, ap = fresh_platform()
     preload(dimms, bytes(nbytes))
-    _set_attribution_scenario("accel:memcopy")
+    probe.set_scenario("accel:memcopy")
     engine = MemcopyEngine(sim, ap)
     t0 = sim.now_ps
     engine.run_to_completion(
@@ -81,7 +81,7 @@ def run_table5(size_mib: int = 16, seed: int = 0) -> ResultTable:
     # default seed=0 preserves the historical min/max data stream (seed 11)
     rng = default_rng(11 + seed)
     preload(dimms, rng.integers(-(2**31), 2**31 - 1, nbytes // 4, dtype=np.int32).tobytes())
-    _set_attribution_scenario("accel:minmax")
+    probe.set_scenario("accel:minmax")
     engine = MinMaxEngine(sim, ap)
     t0 = sim.now_ps
     engine.run_to_completion(ControlBlock(opcode=KERNEL_MINMAX, src=0, length=nbytes))
@@ -93,7 +93,7 @@ def run_table5(size_mib: int = 16, seed: int = 0) -> ResultTable:
     # 1024-point FFTs
     sim, dimms, ap = fresh_platform()
     preload(dimms, bytes(nbytes))
-    _set_attribution_scenario("accel:fft")
+    probe.set_scenario("accel:fft")
     farm = FftEngineFarm(sim, ap, num_engines=8)
     t0 = sim.now_ps
     farm.run_to_completion(

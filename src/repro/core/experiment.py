@@ -41,17 +41,6 @@ from .results import ResultTable
 from .system import CardSpec, ContuttoSystem
 
 
-def _set_attribution_scenario(label: str) -> None:
-    """Label journeys begun from here on (no-op when telemetry is off).
-
-    Measurement loops set the configuration's label just before measuring
-    and a ``<label>:boot`` label before each build, so boot-time traffic
-    never pollutes a measurement scenario in the latency breakdown.
-    """
-    trace = probe.session
-    if trace is not None and trace.journeys is not None:
-        trace.journeys.set_scenario(label)
-
 # ---------------------------------------------------------------------------
 # Table 1 — FPGA resource utilization
 # ---------------------------------------------------------------------------
@@ -107,9 +96,9 @@ def measure_centaur_latencies(samples: int = 24, seed: int = 0) -> Dict[str, flo
     """Measured latency-to-memory for the four Table 2 configurations."""
     out = {}
     for config in (LATENCY_OPTIMIZED, DEFAULT, CONSERVATIVE, RELAXED):
-        _set_attribution_scenario(f"{config.name}:boot")
+        probe.set_scenario(f"{config.name}:boot")
         system = _centaur_system(config, seed=seed)
-        _set_attribution_scenario(config.name)
+        probe.set_scenario(config.name)
         out[config.name] = system.measure_latency_ns("centaur", samples=samples)
     return out
 
@@ -117,19 +106,19 @@ def measure_centaur_latencies(samples: int = 24, seed: int = 0) -> Dict[str, flo
 def measure_contutto_latencies(samples: int = 24, seed: int = 0) -> Dict[str, float]:
     """Measured latencies for the Table 3 configurations."""
     out = {}
-    _set_attribution_scenario("centaur:boot")
+    probe.set_scenario("centaur:boot")
     system = _centaur_system(LATENCY_OPTIMIZED, seed=seed)
-    _set_attribution_scenario("centaur")
+    probe.set_scenario("centaur")
     out["centaur"] = system.measure_latency_ns("centaur", samples=samples)
-    _set_attribution_scenario("function_matched:boot")
+    probe.set_scenario("function_matched:boot")
     system = _centaur_system(FUNCTION_MATCHED, seed=seed)
-    _set_attribution_scenario("function_matched")
+    probe.set_scenario("function_matched")
     out["function_matched"] = system.measure_latency_ns("centaur", samples=samples)
     for knob, label in [(0, "contutto_base"), (2, "contutto_knob2"),
                         (6, "contutto_knob6"), (7, "contutto_knob7")]:
-        _set_attribution_scenario(f"{label}:boot")
+        probe.set_scenario(f"{label}:boot")
         system = _contutto_system(knob, seed=seed)
-        _set_attribution_scenario(label)
+        probe.set_scenario(label)
         out[label] = system.measure_latency_ns("contutto", samples=samples)
     return out
 
@@ -268,21 +257,21 @@ def run_table4(writes: int = 24, seed: int = 0) -> ResultTable:
     job = GpfsJob(total_writes=writes, seed=99 + seed)
 
     # HDD direct
-    _set_attribution_scenario("gpfs:hdd")
+    probe.set_scenario("gpfs:hdd")
     sim = Simulator()
     hdd = HardDiskDrive(sim, 1 * GIB)
     result = GpfsWriter(sim).run(_DirectWriteStore(hdd), job)
     table.add_row("Hard Disk Drive", "SAS", result.iops, cal.TABLE4_ROWS["hdd"][2])
 
     # SSD direct
-    _set_attribution_scenario("gpfs:ssd")
+    probe.set_scenario("gpfs:ssd")
     sim = Simulator()
     ssd = SolidStateDrive(sim, 1 * GIB)
     result = GpfsWriter(sim).run(_DirectWriteStore(ssd), job)
     table.add_row("SSD", "SAS", result.iops, cal.TABLE4_ROWS["ssd"][2])
 
     # STT-MRAM behind ConTutto as a write cache in front of the HDD
-    _set_attribution_scenario("gpfs:wcache:boot")
+    probe.set_scenario("gpfs:wcache:boot")
     system = ContuttoSystem.build(
         [
             CardSpec(slot=2, kind="centaur", capacity_per_dimm=1 * GIB),
@@ -297,7 +286,7 @@ def run_table4(writes: int = 24, seed: int = 0) -> ResultTable:
         system.sim, pmem_blk, hdd,
         WriteCacheConfig(segment_bytes=4 * MIB, segments=16),
     )
-    _set_attribution_scenario("gpfs:wcache")
+    probe.set_scenario("gpfs:wcache")
     result = GpfsWriter(system.sim).run(cache, job)
     mram_iops = result.iops
     table.add_row("STT-MRAM (ConTutto)", "DMI (memory link)", mram_iops,
@@ -339,9 +328,9 @@ def run_fio_matrix(
     job_seed = 1234 + seed
     results = {}
     for name in FIO_STORES:
-        _set_attribution_scenario(f"fio:{name}:boot")
+        probe.set_scenario(f"fio:{name}:boot")
         device, sim = _make_fio_store(name, seed=seed)
-        _set_attribution_scenario(f"fio:{name}")
+        probe.set_scenario(f"fio:{name}")
         runner = FioRunner(sim)
         lat_read = runner.run(device, FioJob(rw="randread", total_ios=ios, seed=job_seed))
         lat_write = runner.run(device, FioJob(rw="randwrite", total_ios=ios, seed=job_seed))

@@ -29,12 +29,6 @@ _READ_TIMEOUT_PS = 10**9
 _LINE = 128
 
 
-def _scenario(label: str) -> None:
-    trace = probe.session
-    if trace is not None and trace.journeys is not None:
-        trace.journeys.set_scenario(label)
-
-
 def _merge_plan(name: str, base: List[FaultSpec], faults) -> FaultPlan:
     """The experiment's own specs plus any user-supplied plan entries."""
     extra = FaultPlan.load(faults)
@@ -109,7 +103,7 @@ def run_ber_sweep(
         mode = "freeze" if freeze else "nofreeze"
         for rate in rates:
             label = f"ber:{rate:g}:{mode}"
-            _scenario(f"{label}:boot")
+            probe.set_scenario(f"{label}:boot")
             system = ContuttoSystem.build(
                 [CardSpec(slot=0, kind="contutto",
                           capacity_per_dimm=256 * MIB, freeze=freeze)],
@@ -118,7 +112,7 @@ def run_ber_sweep(
             rng = Rng(derive_seed(seed, label), "measure")
             # clean and faulty reads share one scenario so the attribution
             # fault split (clean vs fault-affected) compares like with like
-            _scenario(label)
+            probe.set_scenario(label)
             clean_n, clean_ps, _ = _measure_reads(system, rng.fork("clean"), samples)
 
             plan = _merge_plan(f"ber[{rate:g}]", [FaultSpec(
@@ -126,7 +120,7 @@ def run_ber_sweep(
                 duration_ps=10**12,
                 params=(("max_flips", 1), ("rate", rate)), label="ber",
             )], faults)
-            _scenario(label)
+            probe.set_scenario(label)
             measure_rng = rng.fork("faulty")
             remaining = samples
             ok_total = 0
@@ -196,7 +190,7 @@ def run_nvdimm_drill(lines: int = 16, seed: int = 0, faults=None) -> ResultTable
     ]
     for case, supercap in cases:
         label = f"nvdimm:{case}"
-        _scenario(f"{label}:boot")
+        probe.set_scenario(f"{label}:boot")
         # firmware wants DRAM contiguous from address 0, so the NVDIMM card
         # rides on channel 2 (even DMI slots only) behind a small DRAM card
         system = ContuttoSystem.build(
@@ -211,7 +205,7 @@ def run_nvdimm_drill(lines: int = 16, seed: int = 0, faults=None) -> ResultTable
         save_ms = max(
             supercap.save_time_ms(d.capacity_bytes) for d in devices
         )
-        _scenario(label)
+        probe.set_scenario(label)
         socket = system.socket
         region = system.region_for_slot(2)
         written = {}
@@ -310,7 +304,7 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
     job = GpfsJob(total_writes=writes, seed=99 + seed)
 
     def build_cache(label):
-        _scenario(f"storage:{label}:boot")
+        probe.set_scenario(f"storage:{label}:boot")
         system = ContuttoSystem.build(
             [CardSpec(slot=2, kind="centaur", capacity_per_dimm=1 * GIB),
              CardSpec(slot=0, kind="contutto", memory="mram",
@@ -329,7 +323,7 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
 
     # -- wcache clean (no faults): the comparison baseline -----------------
     system, log, hdd, cache = build_cache("wcache-clean")
-    _scenario("storage:wcache-clean")
+    probe.set_scenario("storage:wcache-clean")
     result = GpfsWriter(system.sim).run(cache, job)
     table.add_row(
         "wcache clean", result.total_writes, f"{result.iops:.0f}",
@@ -338,7 +332,7 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
     )
 
     # -- direct SSD with forced IO failures --------------------------------
-    _scenario("storage:ssd:boot")
+    probe.set_scenario("storage:ssd:boot")
     system = ContuttoSystem.build(
         [CardSpec(slot=0, kind="contutto", capacity_per_dimm=256 * MIB)],
         seed=seed,
@@ -353,7 +347,7 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
         params=(("rate", 0.0), ("force_failures", 6), ("max_retries", 2)),
         label="ssd-io",
     )], faults)
-    _scenario("storage:ssd")
+    probe.set_scenario("storage:ssd")
     controller = FaultController(system.sim, plan, seed=seed)
     controller.install(system).start()
     result = GpfsWriter(system.sim).run(DirectStore(ssd, name="ssd"), job)
@@ -378,7 +372,7 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
             label="slow-hdd",
         ),
     ], faults)
-    _scenario("storage:wcache-faulted")
+    probe.set_scenario("storage:wcache-faulted")
     controller = FaultController(system.sim, plan, seed=seed)
     controller.install(system).start()
     result = GpfsWriter(system.sim).run(cache, job)

@@ -44,12 +44,6 @@ _EPOCH_PS = 50_000_000
 _BUDGET_BYTES = 32 * 1024
 
 
-def _scenario(label: str) -> None:
-    trace = probe.session
-    if trace is not None and trace.journeys is not None:
-        trace.journeys.set_scenario(label)
-
-
 def _percentile(ordered: List[int], pct: float) -> int:
     return ordered[max(0, math.ceil(pct / 100 * len(ordered)) - 1)]
 
@@ -75,7 +69,7 @@ def run_tiered_replay(
     if ops < 2:
         raise ConfigurationError(f"tiered replay needs >= 2 ops, got {ops}")
     label = f"tiered:{policy}:{workload}"
-    _scenario(f"{label}:boot")
+    probe.set_scenario(f"{label}:boot")
     tiering = TieringSpec(
         policy=policy,
         config=TieredConfig(epoch_ps=_EPOCH_PS,
@@ -101,7 +95,7 @@ def run_tiered_replay(
             system.sim, plan, seed=derive_seed(seed, "faults")
         )
         controller.install(system).start()
-    _scenario(label)
+    probe.set_scenario(label)
     latencies, elapsed_ps, errors = replay(
         system, stream, depth=replay_depth(workload, depth)
     )

@@ -27,46 +27,32 @@ CLIs; the spec schema, report anatomy, and diff semantics live in
 ``docs/reports.md``.
 """
 
-from .artifacts import (
-    journeys_of_session,
-    load_fault_plan,
-    load_journeys,
-    load_report,
-    read_artifact,
-    resolve_artifact,
-)
-from .diff import (
-    DEFAULT_TOLERANCES,
-    DiffFinding,
-    DiffResult,
-    VERDICTS,
-    diff_reports,
-    render_diff,
-)
-from .html import render_html
-from .runner import SuiteResult, SuiteRunner
-from .suite import SUITE_SCHEMA, SuiteSpec
-from .summary import REPORT_SCHEMA, build_report, write_report_json
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_TOLERANCES",
-    "DiffFinding",
-    "DiffResult",
-    "REPORT_SCHEMA",
-    "SUITE_SCHEMA",
-    "SuiteResult",
-    "SuiteRunner",
-    "SuiteSpec",
-    "VERDICTS",
-    "build_report",
-    "diff_reports",
-    "journeys_of_session",
-    "load_fault_plan",
-    "load_journeys",
-    "load_report",
-    "read_artifact",
-    "render_diff",
-    "render_html",
-    "resolve_artifact",
-    "write_report_json",
-]
+#: public name -> submodule imported on first access (PEP 562): loading
+#: a fault plan or diffing two reports imports neither the suite runner
+#: nor the tune, service, fault and core packages it drives
+_EXPORTS = {
+    "DEFAULT_TOLERANCES": ".diff",
+    "DiffFinding": ".diff",
+    "DiffResult": ".diff",
+    "REPORT_SCHEMA": ".summary",
+    "SUITE_SCHEMA": ".suite",
+    "SuiteResult": ".runner",
+    "SuiteRunner": ".runner",
+    "SuiteSpec": ".suite",
+    "VERDICTS": ".diff",
+    "build_report": ".summary",
+    "diff_reports": ".diff",
+    "load_fault_plan": ".artifacts",
+    "load_journeys": ".artifacts",
+    "load_report": ".artifacts",
+    "read_artifact": ".artifacts",
+    "render_diff": ".diff",
+    "render_html": ".html",
+    "resolve_artifact": ".artifacts",
+    "write_report_json": ".summary",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,8 +1,7 @@
 """One loader for every JSONL artifact the repo emits.
 
 ``analyze_latency.py`` resolved inputs and merged journeys its own way,
-``run_chaos.py`` re-derived journey records from live sessions, and
-every CLI that takes ``--faults`` re-implemented plan loading.  Worse,
+and every CLI that takes ``--faults`` re-implemented plan loading.  Worse,
 the copies disagreed on malformed input: some paths raised a bare
 ``json.JSONDecodeError`` with no file context, and ad-hoc readers
 skipped bad lines silently.  This module is the single shared
@@ -26,7 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ArtifactError, ConfigurationError
 from ..telemetry import merge_attribution
-from ..telemetry.attribution import journey_record, journey_records
+from ..telemetry.attribution import journey_records
 
 #: malformed-line policies :func:`read_artifact` accepts
 MALFORMED_POLICIES = ("error", "skip")
@@ -111,14 +110,6 @@ def load_journeys(
         return one(paths[0]), warnings
     sources = [(str(p), one(p)) for p in paths]
     return journey_records(merge_attribution(sources)), warnings
-
-
-def journeys_of_session(session) -> List[dict]:
-    """The completed-journey records of a live :class:`TraceSession`."""
-    tracker = session.journeys
-    if tracker is None:
-        return []
-    return [journey_record(j) for j in tracker.completed]
 
 
 def load_fault_plan(path) -> str:

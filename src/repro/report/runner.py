@@ -2,7 +2,7 @@
 
 The runner is deliberately thin: every section reuses the engine that
 its standalone CLI uses — campaigns through
-:class:`~repro.campaign.CampaignRunner`, services through
+:func:`~repro.campaign.run_campaign`, services through
 :class:`~repro.service.ServiceDriver`, tunes through
 :class:`~repro.tune.TuneDriver` — so a suite run is the same cached,
 resumable, worker-count-invariant execution, just orchestrated from one
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from ..campaign import CampaignRunner, apply_fault_plan, get_experiment
+from ..campaign import apply_fault_plan, get_experiment, run_campaign
 from ..sim import profiled, write_profile
 from ..tune import TuneDriver
 from .suite import SuiteSpec
@@ -124,31 +124,22 @@ class SuiteRunner:
     # -- sections -----------------------------------------------------------
 
     def _run_campaign(self, entry) -> List[str]:
-        out_dir = self.out_dir / f"campaign-{entry.name}"
-        out_dir.mkdir(parents=True, exist_ok=True)
         matrix = entry.matrix(self.spec.seed)
         jobs = matrix.expand()
         if entry.faults is not None:
             jobs = apply_fault_plan(jobs, entry.faults)
-        report = CampaignRunner(
-            jobs,
+        report = run_campaign(
+            jobs, self.out_dir / f"campaign-{entry.name}",
+            params={"suite": self.spec.name, "campaign": entry.name,
+                    "seed": matrix.base_seed, "count": len(jobs)},
+            name=f"suite:{self.spec.name}:{entry.name}",
             workers=self.jobs,
             cache=self.cache,
-            manifest_path=str(out_dir / "manifest.jsonl"),
             timeout_s=self.timeout_s,
             retries=self.retries,
             base_seed=matrix.base_seed,
             attribution_mode="summary" if entry.fold_attribution else "journeys",
-        ).run()
-        markdown = "\n\n".join(t.to_markdown() for t in report.tables()) + "\n"
-        (out_dir / "experiments.md").write_text(markdown, encoding="utf-8")
-        report.write_telemetry(
-            str(out_dir / "metrics.jsonl"),
-            params={"suite": self.spec.name, "campaign": entry.name,
-                    "seed": matrix.base_seed, "count": len(jobs)},
         )
-        report.write_attribution(str(out_dir / "attribution.jsonl"),
-                                 name=f"suite:{self.spec.name}:{entry.name}")
         return [
             f"campaign {entry.name}: {o.job.job_id}: {o.error}"
             for o in report.failed

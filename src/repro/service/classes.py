@@ -143,13 +143,6 @@ def profiles_from_json(text: str) -> dict:
     return {klass: ServiceProfile.from_dict(rec) for klass, rec in raw.items()}
 
 
-def _set_scenario(label: str) -> None:
-    """Label journeys begun from here on (no-op when telemetry is off)."""
-    trace = probe.session
-    if trace is not None and trace.journeys is not None:
-        trace.journeys.set_scenario(label)
-
-
 def _run_op(sim: Simulator, signal) -> bool:
     """Drain one submitted operation; classify its completion value."""
     try:
@@ -163,7 +156,7 @@ def _calibrate_system(
     klass: str, samples: int, seed: int, plan: Optional[FaultPlan]
 ) -> ServiceProfile:
     """Measure socket-path line operations on a booted Centaur system."""
-    _set_scenario(f"service:{klass}:boot")
+    probe.set_scenario(f"service:{klass}:boot")
     system = ContuttoSystem.build([CardSpec(slot=0, kind="centaur")], seed=seed)
     controller = None
     if plan is not None:
@@ -174,7 +167,7 @@ def _calibrate_system(
 
     region = system.region_for_slot(0)
     rng = Rng(derive_seed(seed, "ops"), f"service.{klass}")
-    _set_scenario(f"service:{klass}")
+    probe.set_scenario(f"service:{klass}")
     if klass == "pointer_chase":
         # one calibrated sample per dependent hop of a random chain
         spec = TraceSpec(region.base, min(region.os_size, 256 * 1024), samples)
@@ -212,7 +205,7 @@ def _calibrate_storage(klass: str, samples: int, seed: int) -> ServiceProfile:
     store = PcieAttachedStore(sim, _STORE_BYTES, NVRAM_PCIE, name=f"svc.{klass}")
     rng = Rng(derive_seed(seed, "ops"), f"service.{klass}")
     blocks = _STORE_BYTES // _BLOCK_BYTES
-    _set_scenario(f"service:{klass}")
+    probe.set_scenario(f"service:{klass}")
     times: List[int] = []
     oks: List[bool] = []
     for _ in range(samples):
@@ -247,7 +240,7 @@ def _calibrate_gpfs(samples: int, seed: int) -> ServiceProfile:
         PcieAttachedStore(sim, _STORE_BYTES, NVRAM_PCIE, name="svc.gpfs")
     )
     writer = GpfsWriter(sim)
-    _set_scenario("service:gpfs_write")
+    probe.set_scenario("service:gpfs_write")
     times: List[int] = []
     oks: List[bool] = []
     for i in range(samples):

@@ -179,13 +179,11 @@ class ServiceDriver:
             wall_clock_s=calib_report.wall_clock_s + shard_report.wall_clock_s,
             workers=self.shards,
         )
-        combined.write_telemetry(
-            str(out_dir / "metrics.jsonl"),
+        combined.write_artifacts(
+            out_dir,
             params={"schedule": schedule.name, "seed": self.seed,
                     "shards": self.shards, "repetitions": self.repetitions},
-        )
-        combined.write_attribution(
-            str(out_dir / "attribution.jsonl"), name=f"service:{schedule.name}"
+            name=f"service:{schedule.name}",
         )
         return ServiceResult(
             schedule, rows=rows,

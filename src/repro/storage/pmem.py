@@ -25,12 +25,6 @@ from ..units import CACHE_LINE_BYTES, ns_to_ps
 from .block import IoFaultModel
 
 
-def _tracker():
-    """The ambient journey tracker, or None when telemetry is off."""
-    trace = probe.session
-    return trace.journeys if trace is not None else None
-
-
 @dataclass(frozen=True)
 class PmemConfig:
     """Driver-path parameters."""
@@ -90,7 +84,7 @@ class PmemRegion:
         context stack.
         """
         lines = self._lines(offset, nbytes)
-        journeys = _tracker()
+        journeys = probe.tracker()
         jid = journeys.current() if journeys is not None else None
 
         def run():
@@ -125,7 +119,7 @@ class PmemRegion:
     def write(self, offset: int, data: bytes) -> Process:
         """Write bytes (line-aligned fast path; RMW at the edges)."""
         lines = self._lines(offset, len(data))
-        journeys = _tracker()
+        journeys = probe.tracker()
         jid = journeys.current() if journeys is not None else None
 
         def run():
@@ -205,7 +199,7 @@ class PmemBlockDevice:
 
     def _open_journey(self, op: str, offset: int):
         """(tracker, jid, owned): the enclosing journey, or a fresh one."""
-        journeys = _tracker()
+        journeys = probe.tracker()
         if journeys is None:
             return None, None, False
         jid = journeys.current()

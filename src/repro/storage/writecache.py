@@ -284,17 +284,12 @@ class NvWriteCache:
             )
             return
         if jid is not None:
-            journeys = self._journeys()
+            journeys = probe.tracker()
             if journeys is not None:
                 # zero-length when admission did not stall
                 journeys.stage_to(jid, "wcache.admit", self.sim.now_ps,
                                   kind="queue")
         self._stage(offset, nbytes, done, jid, owned)
-
-    @staticmethod
-    def _journeys():
-        trace = probe.session
-        return trace.journeys if trace is not None else None
 
     def _stage(
         self, offset: int, nbytes: int, done: Signal,
@@ -325,7 +320,7 @@ class NvWriteCache:
             if trace is not None:
                 trace.count("storage.wcache.wrap_splits")
         pending = {"count": len(parts), "error": None}
-        journeys = self._journeys()
+        journeys = probe.tracker()
 
         def staged(value) -> None:
             if isinstance(value, StorageError):
@@ -390,7 +385,7 @@ class NvWriteCache:
         self._next_disk_offset = (
             disk_offset + self.config.segment_bytes
         ) % self.backing.capacity_bytes
-        journeys = self._journeys()
+        journeys = probe.tracker()
         jid = None
         if journeys is not None:
             jid = journeys.begin(

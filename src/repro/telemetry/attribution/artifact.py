@@ -122,7 +122,7 @@ def session_attribution_records(session) -> List[dict]:
     if tracker is None:
         return [attribution_meta(session.name, 0, 0, 0, [], enabled=False)]
     breakdown = LatencyBreakdown()
-    journeys = [journey_record(j) for j in tracker.completed]
+    journeys = session.journey_records()
     breakdown.add_records(journeys)
     records = [
         attribution_meta(

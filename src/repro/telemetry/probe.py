@@ -52,3 +52,21 @@ def deactivate(old_session: object) -> None:
 def active() -> bool:
     """Whether a trace session is currently collecting."""
     return session is not None
+
+
+def tracker():
+    """The ambient session's journey tracker, or None (telemetry or
+    attribution off)."""
+    return session.journeys if session is not None else None
+
+
+def set_scenario(label: str) -> None:
+    """Label journeys begun from here on (no-op when telemetry is off).
+
+    Measurement loops set the configuration's label just before measuring
+    and a ``<label>:boot`` label before each build, so boot-time traffic
+    never pollutes a measurement scenario in the latency breakdown.
+    """
+    journeys = tracker()
+    if journeys is not None:
+        journeys.set_scenario(label)

@@ -37,6 +37,7 @@ from .attribution import (
     LatencyBreakdown,
     OccupancySampler,
     journey_chrome_extras,
+    journey_record,
     session_attribution_records,
 )
 from .chrome import to_chrome_events, truncation_marker, write_chrome_trace
@@ -253,14 +254,17 @@ class TraceSession:
 
     # -- attribution --------------------------------------------------------
 
+    def journey_records(self) -> List[dict]:
+        """One ``journey`` record per completed journey, in completion
+        order (empty when attribution is off)."""
+        if self.journeys is None:
+            return []
+        return [journey_record(j) for j in self.journeys.completed]
+
     def breakdown(self) -> LatencyBreakdown:
         """Fold this session's completed journeys into a breakdown."""
-        from .attribution import journey_record
-
         folded = LatencyBreakdown()
-        if self.journeys is not None:
-            for journey in self.journeys.completed:
-                folded.add_record(journey_record(journey))
+        folded.add_records(self.journey_records())
         return folded
 
     def write_attribution(self, path: str) -> int:

@@ -21,81 +21,43 @@ See ``docs/tuning.md`` for the spec format, the knob catalogue, and the
 artifact schemas; ``scripts/run_tune.py`` is the CLI.
 """
 
-from .pareto import (
-    common_rung_objectives,
-    dominates,
-    front_keys,
-    mark_dominated,
-    pareto_records,
-    select_winner,
-    write_pareto,
-    write_report_csv,
-)
-from .search import (
-    BatchEntry,
-    GridSearcher,
-    SuccessiveHalvingSearcher,
-    TrialState,
-    make_searcher,
-)
-from .space import (
-    KNOBS,
-    OBJECTIVE_METRICS,
-    TUNE_SCHEMA,
-    TUNE_SCHEMA_VERSION,
-    WORKLOADS,
-    Budget,
-    Knob,
-    Objective,
-    TuneSpec,
-    canonical_config,
-    check_workload_knobs,
-    validate_config,
-)
-from .trial import materialize, objectives_of, run_tune_trial
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Budget",
-    "BatchEntry",
-    "GridSearcher",
-    "KNOBS",
-    "Knob",
-    "OBJECTIVE_METRICS",
-    "Objective",
-    "SuccessiveHalvingSearcher",
-    "TUNE_SCHEMA",
-    "TUNE_SCHEMA_VERSION",
-    "TrialState",
-    "TuneDriver",
-    "TuneReport",
-    "TuneSpec",
-    "WORKLOADS",
-    "canonical_config",
-    "check_workload_knobs",
-    "common_rung_objectives",
-    "dominates",
-    "front_keys",
-    "make_searcher",
-    "mark_dominated",
-    "materialize",
-    "objectives_of",
-    "pareto_records",
-    "run_tune_trial",
-    "select_winner",
-    "validate_config",
-    "write_pareto",
-    "write_report_csv",
-]
+#: public name -> submodule imported on first access (PEP 562): reading
+#: a spec loads neither the trial runner's system stack nor the driver's
+#: campaign engine
+_EXPORTS = {
+    "BatchEntry": ".search",
+    "Budget": ".space",
+    "GridSearcher": ".search",
+    "KNOBS": ".space",
+    "Knob": ".space",
+    "OBJECTIVE_METRICS": ".space",
+    "Objective": ".space",
+    "SuccessiveHalvingSearcher": ".search",
+    "TUNE_SCHEMA": ".space",
+    "TUNE_SCHEMA_VERSION": ".space",
+    "TrialState": ".search",
+    "TuneDriver": ".driver",
+    "TuneReport": ".driver",
+    "TuneSpec": ".space",
+    "WORKLOADS": ".space",
+    "canonical_config": ".space",
+    "check_workload_knobs": ".space",
+    "common_rung_objectives": ".pareto",
+    "dominates": ".pareto",
+    "front_keys": ".pareto",
+    "make_searcher": ".search",
+    "mark_dominated": ".pareto",
+    "materialize": ".trial",
+    "objectives_of": ".trial",
+    "pareto_records": ".pareto",
+    "run_tune_trial": ".trial",
+    "select_winner": ".pareto",
+    "validate_config": ".space",
+    "write_pareto": ".pareto",
+    "write_report_csv": ".pareto",
+}
 
-_LAZY = {"TuneDriver", "TuneReport"}
-
-
-def __getattr__(name):
-    # the driver imports the campaign engine, whose registry imports
-    # this package for the tune_trial experiment — loading it lazily
-    # keeps that cycle one-directional at import time
-    if name in _LAZY:
-        from . import driver
-
-        return getattr(driver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

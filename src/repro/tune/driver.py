@@ -253,17 +253,14 @@ class TuneDriver:
             write_report_csv(
                 str(self.out_dir / "tune_report.csv"), self.spec, evaluated
             )
-            campaign.write_telemetry(
-                str(self.out_dir / "metrics.jsonl"),
+            campaign.write_artifacts(
+                self.out_dir,
                 params={
                     "spec": self.spec.name,
                     "workload": self.spec.workload,
                     "searcher": self.spec.searcher,
                     "seed": self.seed,
                 },
-            )
-            campaign.write_attribution(
-                str(self.out_dir / "attribution.jsonl"),
                 name=f"tune:{self.spec.name}",
             )
         return TuneReport(

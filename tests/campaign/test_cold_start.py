@@ -2,15 +2,20 @@
 
 A job imports only the code its experiment runs: the worker module loads
 no experiment code, a ``table3`` job never loads numpy or the
-accelerator, fault, service, tuner or report packages, and the package roots
-resolve their public names on first access.  Each check runs in a fresh
-interpreter, because one test's imports would hide another's.
+accelerator, fault, service, tuner or report packages, a ``table5`` job
+never loads the system stack, and the package roots resolve their public
+names on first access.  The CLIs that only read artifacts or launch a
+campaign stay within a module budget before they parse ``--help``.  Each
+check runs in a fresh interpreter, because one test's imports would hide
+another's.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
@@ -62,6 +67,26 @@ def test_table5_job_still_runs():
         "assert out['status'] == 'ok', out.get('traceback')"
     )
     assert {"numpy", "repro.accel"} <= modules
+    unused = ["repro.core.experiment", "repro.storage", "repro.workloads"]
+    assert packages_in(modules, unused) == set()
+
+
+#: most ``repro`` modules each CLI may load before it parses ``--help``
+CLI_BUDGETS = {"run_campaign.py": 35, "diff_artifacts.py": 20, "analyze_latency.py": 45}
+
+
+@pytest.mark.parametrize("script", sorted(CLI_BUDGETS))
+def test_cli_help_stays_within_its_module_budget(script):
+    modules = loaded_after(
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['{script}', '--help']\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    runpy.run_path({str(REPO / 'scripts' / script)!r}, run_name='__main__')"
+    )
+    loaded = {m for m in modules if m.startswith("repro")}
+    assert len(loaded) <= CLI_BUDGETS[script], sorted(loaded)
+    unused = ["repro.tune", "repro.service", "repro.core.experiment"]
+    assert packages_in(loaded, unused) == set()
 
 
 def test_runners_are_imported_before_the_clock_and_the_fork():
@@ -88,14 +113,20 @@ def test_runners_are_imported_before_the_clock_and_the_fork():
 
 
 def test_lazy_exports_resolve():
-    # every name of both lazy package roots resolves, so their name maps
-    # cannot drift from ``__all__``; ``from repro import *`` walks them too
+    # every name of the lazy package roots resolves, so their name maps
+    # cannot drift from ``__all__``; ``from <root> import *`` walks them too
     loaded_after(
-        "import repro, repro.campaign\n"
-        "for pkg in (repro, repro.campaign):\n"
+        "import repro, repro.campaign, repro.core, repro.report, repro.tune\n"
+        "for pkg in (repro, repro.campaign, repro.core, repro.report, repro.tune):\n"
         "    missing = [n for n in pkg.__all__ if not hasattr(pkg, n)]\n"
         "    assert not missing, (pkg.__name__, missing)\n"
+        "    assert set(pkg.__all__) <= set(dir(pkg)), pkg.__name__\n"
         "from repro import *\n"
         "from repro.campaign import *\n"
-        "assert ContuttoSystem and run_table5 and CampaignRunner and execute_job"
+        "from repro.core import *\n"
+        "from repro.report import *\n"
+        "from repro.tune import *\n"
+        "assert ContuttoSystem and run_table5 and CampaignRunner and execute_job\n"
+        "assert calibration.__name__ == 'repro.core.calibration'\n"
+        "assert SuiteRunner and TuneDriver and TuneSpec"
     )

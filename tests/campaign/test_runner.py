@@ -181,10 +181,9 @@ class TestTelemetryMerge:
     def test_merged_artifact_aggregates_worker_snapshots(self, tmp_path):
         jobs = ScenarioMatrix.paper(only=["table3", "table2"]).expand()
         report = CampaignRunner(jobs, workers=2).run()
-        path = tmp_path / "metrics.jsonl"
-        report.write_telemetry(str(path), params={"jobs": 2})
+        report.write_artifacts(tmp_path, params={"jobs": 2})
 
-        records = read_jsonl(str(path))
+        records = read_jsonl(str(tmp_path / "metrics.jsonl"))
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "meta"
         assert kinds.count("result") == len(report.tables())
@@ -204,10 +203,12 @@ class TestTelemetryMerge:
         jobs = matrix.expand()
         serial = CampaignRunner(jobs, workers=1).run()
         parallel = CampaignRunner(jobs, workers=2).run()
-        a, b = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        serial.write_attribution(str(a))
-        parallel.write_attribution(str(b))
-        assert a.read_bytes() == b.read_bytes()
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "parallel").mkdir()
+        serial.write_artifacts(tmp_path / "serial", params={})
+        parallel.write_artifacts(tmp_path / "parallel", params={})
+        a = tmp_path / "serial" / "attribution.jsonl"
+        assert a.read_bytes() == (tmp_path / "parallel" / "attribution.jsonl").read_bytes()
 
         records = read_jsonl(str(a))
         meta = records[0]

@@ -2,12 +2,12 @@
 artifacts regardless of worker count (the ISSUE's byte-identity bar)."""
 
 from repro.campaign import (
-    CampaignRunner,
     ScenarioMatrix,
     apply_fault_plan,
     canonical_manifest,
     get_experiment,
     read_manifest,
+    run_campaign,
 )
 from repro.faults import FaultPlan, FaultSpec
 
@@ -43,14 +43,8 @@ class TestFaultPlanThreading:
 class TestWorkerCountInvariance:
     def run_campaign(self, tmp_path, tag, workers, plan_json):
         out = tmp_path / tag
-        out.mkdir()
-        report = CampaignRunner(
-            fault_jobs(plan_json),
-            workers=workers,
-            manifest_path=str(out / "manifest.jsonl"),
-        ).run()
+        report = run_campaign(fault_jobs(plan_json), out, params={}, workers=workers)
         assert not report.failed
-        report.write_attribution(str(out / "attribution.jsonl"))
         return out
 
     def test_artifacts_byte_identical_across_jobs(self, tmp_path):

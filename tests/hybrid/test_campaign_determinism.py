@@ -35,10 +35,12 @@ class TestTieredCampaign:
         parallel = CampaignRunner(jobs, workers=2).run()
         assert [r.rows for r in serial.tables()] == \
             [r.rows for r in parallel.tables()]
-        a, b = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        serial.write_attribution(str(a))
-        parallel.write_attribution(str(b))
-        assert a.read_bytes() == b.read_bytes()
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "parallel").mkdir()
+        serial.write_artifacts(tmp_path / "serial", params={})
+        parallel.write_artifacts(tmp_path / "parallel", params={})
+        a = tmp_path / "serial" / "attribution.jsonl"
+        assert a.read_bytes() == (tmp_path / "parallel" / "attribution.jsonl").read_bytes()
 
         records = read_jsonl(str(a))
         scenarios = {r["scenario"] for r in records
@@ -54,9 +56,8 @@ class TestTieredCampaign:
 
     def test_tier_counters_land_in_the_merged_snapshot(self, tmp_path):
         report = CampaignRunner(tiered_matrix().expand(), workers=2).run()
-        path = tmp_path / "metrics.jsonl"
-        report.write_telemetry(str(path), params={"jobs": 2})
-        snapshots = [r for r in read_jsonl(str(path))
+        report.write_artifacts(tmp_path, params={"jobs": 2})
+        snapshots = [r for r in read_jsonl(str(tmp_path / "metrics.jsonl"))
                      if r["kind"] == "snapshot"]
         merged = snapshots[-1]["metrics"]
         assert snapshots[-1]["label"] == "merged"

@@ -17,6 +17,14 @@ PACKAGES = [
     "repro.accel",
     "repro.workloads",
     "repro.core",
+    "repro.campaign",
+    "repro.telemetry",
+    "repro.telemetry.attribution",
+    "repro.report",
+    "repro.faults",
+    "repro.service",
+    "repro.tune",
+    "repro.hybrid",
 ]
 
 

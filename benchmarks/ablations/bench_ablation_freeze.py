@@ -45,7 +45,7 @@ def test_freeze_workaround_ablation(benchmark):
     with_freeze, ops_with, without_freeze, ops_without = run_once(benchmark, experiment)
 
     print(f"\nfreeze ON : {ops_with} ops, operational={with_freeze.operational}, "
-          f"freeze frames={with_freeze.buffer_endpoint.freeze_frames_sent}")
+          f"freeze frames={with_freeze.buffer_endpoint.counts.freeze_frames_sent}")
     print(f"freeze OFF: {ops_without} ops, operational={without_freeze.operational}, "
           f"failure={without_freeze.failure}")
 

@@ -11,6 +11,7 @@ Run:  python examples/gpfs_write_cache.py
 from repro import CardSpec, ContuttoSystem
 from repro.sim import Simulator
 from repro.storage import (
+    DirectStore,
     HardDiskDrive,
     NvWriteCache,
     PmemBlockDevice,
@@ -19,14 +20,6 @@ from repro.storage import (
 )
 from repro.units import GIB, MIB
 from repro.workloads import GpfsJob, GpfsWriter
-
-
-class DirectStore:
-    def __init__(self, device):
-        self.device = device
-
-    def write(self, offset, nbytes):
-        return self.device.submit_write(offset % self.device.capacity_bytes, nbytes)
 
 
 def main() -> None:
@@ -66,8 +59,8 @@ def main() -> None:
     print(f"\n  MRAM over SSD : {mram_result.iops / ssd_result.iops:6.1f}x "
           f"(paper: 8.3x)")
     print(f"  MRAM over HDD : {mram_result.iops / hdd_result.iops:6.0f}x")
-    print(f"\n  writes staged in the NVM log: {cache.writes_staged}; "
-          f"destages to disk so far: {cache.destages} "
+    print(f"\n  writes staged in the NVM log: {cache.counts.writes_staged}; "
+          f"destages to disk so far: {cache.counts.destages} "
           f"(each one large sequential write instead of many seeks)")
 
 

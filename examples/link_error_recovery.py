@@ -41,12 +41,12 @@ def noisy_traffic() -> None:
     host, buffer = channel.host_endpoint, channel.buffer_endpoint
     print("  30 write+read pairs completed correctly")
     print(f"  frames dropped by CRC: host={host.crc_drops} buffer={buffer.crc_drops}")
-    print(f"  replays triggered:     host={host.replays_triggered} "
-          f"buffer={buffer.replays_triggered}")
+    print(f"  replays triggered:     host={host.counts.replays_triggered} "
+          f"buffer={buffer.counts.replays_triggered}")
     print(f"  freeze frames sent by the FPGA while preparing replay: "
-          f"{buffer.freeze_frames_sent}")
-    print(f"  duplicates discarded:  host={host.duplicates_seen} "
-          f"buffer={buffer.duplicates_seen}")
+          f"{buffer.counts.freeze_frames_sent}")
+    print(f"  duplicates discarded:  host={host.counts.duplicates_seen} "
+          f"buffer={buffer.counts.duplicates_seen}")
     print(f"  channel still operational: {channel.operational}")
 
 

@@ -50,7 +50,7 @@ def main() -> None:
     slot = system.socket.slots[0]
     print(f"\nDMI channel 0: FRTL {slot.frtl_ps / 1000:.1f} ns, "
           f"host frames accepted "
-          f"{slot.channel.host_endpoint.frames_accepted}")
+          f"{slot.channel.host_endpoint.counts.frames_accepted}")
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.samples is not None and not spec.defaults:
+    if args.samples is not None and spec.size_knob is None:
         print(f"note: {spec.name} takes no sample knob; --samples ignored",
               file=sys.stderr)
     session_options = {"kernel_events": args.kernel_events}
@@ -96,12 +96,12 @@ def main(argv=None) -> int:
           f"{sorted(session.categories())})")
     print(f"metrics: {out_dir / 'metrics.jsonl'}")
     journeys = session.journeys
-    if journeys is not None:
-        print(f"attribution: {out_dir / 'attribution.jsonl'}  "
-              f"({len(journeys.completed)} journeys, "
-              f"{len(journeys.scenarios())} scenarios)")
-    if session.dropped_events:
-        print(f"warning: {session.dropped_events} events dropped "
+    print(f"attribution: {out_dir / 'attribution.jsonl'}  "
+          f"({len(journeys.completed)} journeys, "
+          f"{len(journeys.scenarios())} scenarios)")
+    dropped = session.counts.dropped_events
+    if dropped:
+        print(f"warning: {dropped} events dropped "
               f"(buffer cap {session.max_events})", file=sys.stderr)
     return 0
 

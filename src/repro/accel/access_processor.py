@@ -45,15 +45,20 @@ class ThreadContext:
     halted: bool = False
 
 
-class PerfCounters:
-    """The Access processor's performance monitoring block."""
+class PerfCounters(probe.Counts):
+    """The Access processor's performance monitoring block; its DMA byte
+    counts are published (instructions are pushed once per program)."""
+
+    METRICS = {
+        "dma_bytes_read": "accel.dma_bytes_read",
+        "dma_bytes_written": "accel.dma_bytes_written",
+    }
 
     def __init__(self) -> None:
+        super().__init__()
         self.instructions = 0
         self.loads = 0
         self.stores = 0
-        self.dma_bytes_read = 0
-        self.dma_bytes_written = 0
         self.mem_wait_ps = 0
 
 
@@ -285,8 +290,7 @@ class AccessProcessor:
         up to each pacing gap and ``accel.pace`` across it, so the stage
         sums reproduce the end-to-end DMA latency with zero residual.
         """
-        trace = probe.session
-        journeys = trace.journeys if trace is not None else None
+        journeys = probe.tracker()
         if journeys is None:
             return None, None
         jid = journeys.begin(f"accel.{op}", addr, self.name, self.sim.now_ps)
@@ -370,7 +374,6 @@ class AccessProcessor:
                     "accel", f"dmard:{self.name}", t0, self.sim.now_ps,
                     {"bytes": len(data)},
                 )
-                trace.count("accel.dma_bytes_read", len(data))
             return data
 
         return Process(self.sim, run(), name=f"{self.name}.dmard")
@@ -386,7 +389,6 @@ class AccessProcessor:
                     "accel", f"dmawr:{self.name}", t0, self.sim.now_ps,
                     {"bytes": len(data)},
                 )
-                trace.count("accel.dma_bytes_written", len(data))
             return len(data)
 
         return Process(self.sim, run(), name=f"{self.name}.dmawr")

@@ -28,6 +28,16 @@ class _Line:
     dirty: bool = False
 
 
+class CacheCounts(probe.Counts):
+    """Lookups that hit and missed, and dirty lines written back."""
+
+    METRICS = {
+        "hits": "buffer.cache.hits",
+        "misses": "buffer.cache.misses",
+        "writebacks": "buffer.cache.writebacks",
+    }
+
+
 class BufferCache:
     """Set-associative write-back cache with LRU and next-line prefetch."""
 
@@ -55,10 +65,7 @@ class BufferCache:
         #: sampler reads it every period, and walking thousands of sets
         #: per sample dominated sampling cost
         self.lines_held = 0
-        # Stats
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
+        self.counts = CacheCounts()
         self.prefetches_issued = 0
         self.prefetch_hits = 0
         self._prefetched_tags: set = set()
@@ -79,16 +86,11 @@ class BufferCache:
         set_no, tag = self._index(addr)
         assoc_set = self._sets.get(set_no)
         line = assoc_set.get(tag) if assoc_set is not None else None
-        trace = probe.session
         if line is None:
-            self.misses += 1
-            if trace is not None:
-                trace.count("buffer.cache.misses")
+            self.counts.misses += 1
             return None
         assoc_set.move_to_end(tag)
-        self.hits += 1
-        if trace is not None:
-            trace.count("buffer.cache.hits")
+        self.counts.hits += 1
         if (set_no, tag) in self._prefetched_tags:
             self.prefetch_hits += 1
             self._prefetched_tags.discard((set_no, tag))
@@ -111,10 +113,7 @@ class BufferCache:
                 victim_tag, victim_line = assoc_set.popitem(last=False)
                 self._prefetched_tags.discard((set_no, victim_tag))
                 if victim_line.dirty:
-                    self.writebacks += 1
-                    trace = probe.session
-                    if trace is not None:
-                        trace.count("buffer.cache.writebacks")
+                    self.counts.writebacks += 1
                     victim = (self._line_addr(set_no, victim_tag), victim_line.data)
             else:
                 self.lines_held += 1
@@ -154,5 +153,6 @@ class BufferCache:
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        hits = self.counts.hits
+        total = hits + self.counts.misses
+        return hits / total if total else 0.0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError
 
@@ -46,6 +46,9 @@ class ExperimentSpec:
     #: accepts a ``faults=`` kwarg (a canonical plan JSON string) —
     #: ``run_campaign.py --faults`` only threads plans into these
     supports_faults: bool = False
+    #: the int kwarg in ``defaults`` that sets how much work a run does,
+    #: which the CLIs' ``--samples`` replaces (None: no such knob)
+    size_knob: Optional[str] = None
 
     @property
     def runner(self) -> Callable:
@@ -57,27 +60,37 @@ class ExperimentSpec:
 #: registration order mirrors EXPERIMENTS.md section order
 _SPECS: List[ExperimentSpec] = [
     ExperimentSpec("table1", "repro.core.experiment:run_table1", {}),
-    ExperimentSpec("table2", "repro.core.experiment:run_table2", {"samples": 24}),
-    ExperimentSpec("fig6", "repro.core.experiment:run_fig6", {"samples": 24}),
-    ExperimentSpec("table3", "repro.core.experiment:run_table3", {"samples": 24}),
-    ExperimentSpec("fig7", "repro.core.experiment:run_fig7", {"samples": 24}),
+    ExperimentSpec("table2", "repro.core.experiment:run_table2", {"samples": 24},
+                   size_knob="samples"),
+    ExperimentSpec("fig6", "repro.core.experiment:run_fig6", {"samples": 24},
+                   size_knob="samples"),
+    ExperimentSpec("table3", "repro.core.experiment:run_table3", {"samples": 24},
+                   size_knob="samples"),
+    ExperimentSpec("fig7", "repro.core.experiment:run_fig7", {"samples": 24},
+                   size_knob="samples"),
     ExperimentSpec("fig8", "repro.core.experiment:run_fig8", {}),
-    ExperimentSpec("table4", "repro.core.experiment:run_table4", {"writes": 24}),
-    ExperimentSpec("fio", "repro.core.experiment:run_fio_matrix", {"ios": 32}),
-    ExperimentSpec("table5", "repro.core.acceleration:run_table5", {"size_mib": 16}),
+    ExperimentSpec("table4", "repro.core.experiment:run_table4", {"writes": 24},
+                   size_knob="writes"),
+    ExperimentSpec("fio", "repro.core.experiment:run_fio_matrix", {"ios": 32},
+                   size_knob="ios"),
+    ExperimentSpec("table5", "repro.core.acceleration:run_table5", {"size_mib": 16},
+                   size_knob="size_mib"),
     # fault & resilience experiments (docs/faults.md)
     ExperimentSpec("ber_sweep", "repro.faults.experiments:run_ber_sweep",
-                   {"samples": 8}, paper=False, supports_faults=True),
+                   {"samples": 8}, paper=False, supports_faults=True,
+                   size_knob="samples"),
     ExperimentSpec("nvdimm_drill", "repro.faults.experiments:run_nvdimm_drill",
-                   {"lines": 16}, paper=False, supports_faults=True),
+                   {"lines": 16}, paper=False, supports_faults=True,
+                   size_knob="lines"),
     ExperimentSpec("storage_drill", "repro.faults.experiments:run_storage_drill",
-                   {"writes": 24}, paper=False, supports_faults=True),
+                   {"writes": 24}, paper=False, supports_faults=True,
+                   size_knob="writes"),
     # hybrid-memory tiering: migration policy x replay workload
     # (docs/hybrid.md); swept as campaign axes, not part of the paper set
     ExperimentSpec("tiered_replay", "repro.hybrid.experiments:run_tiered_replay",
                    {"policy": "clock", "workload": "graph", "ops": 96,
                     "depth": 4},
-                   paper=False, supports_faults=True),
+                   paper=False, supports_faults=True, size_knob="ops"),
     # service-mode shard worker (docs/service.md) — scheduled by
     # scripts/run_service.py, one job per (repetition, shard); hidden
     # because a lone shard is half a result (the merge computes queueing)
@@ -93,6 +106,7 @@ _SPECS: List[ExperimentSpec] = [
         "service_calibrate", "repro.service.shard:run_service_calibrate",
         {"classes": "", "calib_samples": 24},
         hidden=True, paper=False, supports_faults=True,
+        size_knob="calib_samples",
     ),
     # autotuner trial worker (docs/tuning.md) — scheduled by the tune
     # driver, one job per (config, rung); hidden because a lone trial is
@@ -100,7 +114,7 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         "tune_trial", "repro.tune.trial:run_tune_trial",
         {"config": "{}", "workload": "mem_read", "samples": 32, "depth": 4},
-        hidden=True, paper=False, supports_faults=True,
+        hidden=True, paper=False, supports_faults=True, size_knob="samples",
     ),
 ]
 

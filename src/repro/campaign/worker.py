@@ -41,8 +41,9 @@ def run_experiment(
     """Run one named experiment in-process under its own TraceSession.
 
     The one-off path of the CLIs, outside any campaign.  ``samples``
-    replaces the spec's size knob (its first default; a spec without
-    defaults has none), ``seed`` and ``faults`` join its kwargs, and
+    replaces the spec's :attr:`~repro.campaign.registry.ExperimentSpec.
+    size_knob` (ignored when it has none), ``seed`` and ``faults`` join
+    its kwargs, and
     ``session_options`` go to the session, named ``session_name`` or
     the spec's name.  With ``out_dir``, ``metrics.jsonl`` (a meta record,
     one ``result`` per table, then the session's snapshots) and
@@ -51,8 +52,8 @@ def run_experiment(
     """
     spec = get_experiment(name)
     kwargs = dict(spec.defaults)
-    if samples is not None and kwargs:
-        kwargs[next(iter(kwargs))] = samples
+    if samples is not None and spec.size_knob is not None:
+        kwargs[spec.size_knob] = samples
     kwargs["seed"] = seed
     if faults is not None:
         kwargs["faults"] = faults

@@ -24,6 +24,7 @@ from ..memory import FIGURE8_TECHNOLOGIES, memory_bus_lifetime_s
 from ..sim import Simulator
 from ..storage import (
     FLASH_X4_PCIE,
+    DirectStore,
     HardDiskDrive,
     MRAM_PCIE,
     NVRAM_PCIE,
@@ -260,14 +261,14 @@ def run_table4(writes: int = 24, seed: int = 0) -> ResultTable:
     probe.set_scenario("gpfs:hdd")
     sim = Simulator()
     hdd = HardDiskDrive(sim, 1 * GIB)
-    result = GpfsWriter(sim).run(_DirectWriteStore(hdd), job)
+    result = GpfsWriter(sim).run(DirectStore(hdd, name="store"), job)
     table.add_row("Hard Disk Drive", "SAS", result.iops, cal.TABLE4_ROWS["hdd"][2])
 
     # SSD direct
     probe.set_scenario("gpfs:ssd")
     sim = Simulator()
     ssd = SolidStateDrive(sim, 1 * GIB)
-    result = GpfsWriter(sim).run(_DirectWriteStore(ssd), job)
+    result = GpfsWriter(sim).run(DirectStore(ssd, name="store"), job)
     table.add_row("SSD", "SAS", result.iops, cal.TABLE4_ROWS["ssd"][2])
 
     # STT-MRAM behind ConTutto as a write cache in front of the HDD
@@ -297,16 +298,6 @@ def run_table4(writes: int = 24, seed: int = 0) -> ResultTable:
         f"MRAM-on-DMI over SSD: {mram_iops / ssd_iops:.1f}x (paper: 8.3x)"
     )
     return table
-
-
-class _DirectWriteStore:
-    """Adapter: GPFS writer -> bare block device."""
-
-    def __init__(self, device):
-        self.device = device
-
-    def write(self, offset, nbytes):
-        return self.device.submit_write(offset % self.device.capacity_bytes, nbytes)
 
 
 # ---------------------------------------------------------------------------

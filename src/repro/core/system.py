@@ -145,7 +145,7 @@ class ContuttoSystem:
         flow = IplFlow(sim, socket, fsp=fsp, training=training)
         report = flow.boot(list(descriptors.values()))
         trace = probe.session
-        if trace is not None and trace.occupancy is not None:
+        if trace is not None:
             # point the active session's queue-depth sampler at this
             # system's queues (replacing any previous build's sources)
             trace.occupancy.set_sources(occupancy_sources(socket))

@@ -80,6 +80,19 @@ class EndpointConfig:
     max_replay_start_ps: Optional[int] = None
 
 
+class EndpointCounts(probe.Counts):
+    """What one frame-loop endpoint received and replayed."""
+
+    METRICS = {
+        "frames_accepted": "dmi.frames_accepted",
+        "seq_drops": "dmi.seq_drops",
+        "duplicates_seen": "dmi.duplicates",
+        "replays_triggered": "dmi.replays",
+        "ack_timeouts": "dmi.ack_timeouts",
+        "freeze_frames_sent": "dmi.freeze_frames",
+    }
+
+
 class FrameEndpoint:
     """One side of the DMI frame loop (link layer + replay)."""
 
@@ -127,14 +140,10 @@ class FrameEndpoint:
         self.training_echo = False
         #: during training: callback for echoed signatures (host side)
         self.on_training: Optional[Callable[[TrainingFrame], None]] = None
-        # Stats
-        self.frames_accepted = 0
+        self.counts = EndpointCounts()
+        #: CRC failures, training frames included; ``dmi.crc_drops``
+        #: counts payload frames only, so it stays a pushed count
         self.crc_drops = 0
-        self.seq_drops = 0
-        self.duplicates_seen = 0
-        self.replays_triggered = 0
-        self.ack_timeouts = 0
-        self.freeze_frames_sent = 0
 
     # -- transmit ----------------------------------------------------------
 
@@ -213,17 +222,14 @@ class FrameEndpoint:
             return
         _, _, sent_at = oldest
         if self.sim.now_ps - sent_at >= self._ack_timeout_ps:
-            self.ack_timeouts += 1
-            trace = probe.session
-            if trace is not None:
-                trace.count("dmi.ack_timeouts")
+            self.counts.ack_timeouts += 1
             self._start_replay()
         else:
             self._schedule_ack_check()
 
     def _start_replay(self) -> None:
         self._consecutive_replays += 1
-        self.replays_triggered += 1
+        self.counts.replays_triggered += 1
         trace = probe.session
         if trace is not None:
             trace.instant(
@@ -231,7 +237,6 @@ class FrameEndpoint:
                 {"consecutive": self._consecutive_replays,
                  "outstanding": self._replay.outstanding},
             )
-            trace.count("dmi.replays")
         if self._consecutive_replays > self.config.replay_limit:
             self._fail(ReplayError(
                 f"endpoint {self.name!r}: {self._consecutive_replays} replays "
@@ -253,9 +258,7 @@ class FrameEndpoint:
             n_freeze = max(1, prep // max(self.tx_link.frame_wire_ps, 1))
             for _ in range(min(n_freeze, 64)):
                 self.tx_link.send(self._repack(self._last_tx_frame))
-                self.freeze_frames_sent += 1
-                if trace is not None:
-                    trace.count("dmi.freeze_frames")
+                self.counts.freeze_frames_sent += 1
         self.sim.call_after(prep, self._do_replay)
 
     def _repack(self, frame: Frame) -> Frame:
@@ -389,22 +392,13 @@ class FrameEndpoint:
             fwd = seq_distance(self._last_accepted, frame.seq_id)
         if fwd == 1:
             self._last_accepted = frame.seq_id
-            self.frames_accepted += 1
-            trace = probe.session
-            if trace is not None:
-                trace.count("dmi.frames_accepted")
+            self.counts.frames_accepted += 1
             self._note_ack_owed()
             self.on_payload(frame)
         elif 2 <= fwd <= self.config.replay_depth:
-            self.seq_drops += 1
-            trace = probe.session
-            if trace is not None:
-                trace.count("dmi.seq_drops")
+            self.counts.seq_drops += 1
         else:
-            self.duplicates_seen += 1
-            trace = probe.session
-            if trace is not None:
-                trace.count("dmi.duplicates")
+            self.counts.duplicates_seen += 1
             # Re-ACK only *payload* duplicates: they mean the peer is
             # replaying held frames because our earlier ACK was lost.  An
             # idle duplicate is just an ACK carrier — it is never held for
@@ -464,6 +458,15 @@ class _HostPending:
     chunks: Dict[int, bytes] = field(default_factory=dict)
 
 
+class CommandCounts(probe.Counts):
+    """Commands the host issued over one channel, and those it completed."""
+
+    METRICS = {
+        "commands_issued": "dmi.commands_issued",
+        "commands_completed": "dmi.commands_completed",
+    }
+
+
 class HostCommandLayer:
     """Processor-side command issue over a :class:`FrameEndpoint`."""
 
@@ -471,9 +474,7 @@ class HostCommandLayer:
         self.sim = sim
         self.endpoint = endpoint
         self._pending: Dict[int, _HostPending] = {}
-        # Stats
-        self.commands_issued = 0
-        self.commands_completed = 0
+        self.counts = CommandCounts()
 
     def issue(self, command: Command) -> Signal:
         """Send ``command`` downstream; returns a Signal firing with Response."""
@@ -481,10 +482,7 @@ class HostCommandLayer:
             raise ProtocolError(f"tag {command.tag} already has a command in flight")
         done = Signal(f"cmd.tag{command.tag}")
         self._pending[command.tag] = _HostPending(command, done, self.sim.now_ps)
-        self.commands_issued += 1
-        trace = probe.session
-        if trace is not None:
-            trace.count("dmi.commands_issued")
+        self.counts.commands_issued += 1
 
         opcode, tag, data = command.opcode, command.tag, command.data
         header = CommandHeader(opcode, tag, command.address)
@@ -531,7 +529,7 @@ class HostCommandLayer:
             data = b"".join(
                 pending.chunks[off] for off in range(0, CACHE_LINE_BYTES, UP_DATA_CHUNK)
             )
-        self.commands_completed += 1
+        self.counts.commands_completed += 1
         trace = probe.session
         if trace is not None:
             # the frame-loop round trip of one command: issue to done
@@ -539,13 +537,11 @@ class HostCommandLayer:
                 "dmi", f"cmd.{pending.command.opcode.value}",
                 pending.issued_ps, self.sim.now_ps, {"tag": tag},
             )
-            trace.count("dmi.commands_completed")
             trace.record("dmi.cmd_rtt_ps", self.sim.now_ps - pending.issued_ps)
-            journeys = trace.journeys
             jid = pending.command.journey
-            if journeys is not None and jid is not None:
+            if jid is not None:
                 # upstream leg: buffer respond through done delivery
-                journeys.stage_to(jid, "dmi.up", self.sim.now_ps)
+                trace.journeys.stage_to(jid, "dmi.up", self.sim.now_ps)
         pending.signal.trigger(Response(tag, pending.command.opcode, data))
 
     @property
@@ -634,13 +630,12 @@ class BufferCommandLayer:
         trace = probe.session
         if trace is not None:
             journeys = trace.journeys
-            if journeys is not None:
-                jid = journeys.bound(self.channel_name, tag)
-                if jid is not None:
-                    # re-attach the journey the wire stripped, and close the
-                    # downstream leg: host issue through command assembly
-                    command.journey = jid
-                    journeys.stage_to(jid, "dmi.down", self.sim.now_ps)
+            jid = journeys.bound(self.channel_name, tag)
+            if jid is not None:
+                # re-attach the journey the wire stripped, and close the
+                # downstream leg: host issue through command assembly
+                command.journey = jid
+                journeys.stage_to(jid, "dmi.down", self.sim.now_ps)
         self.handler(command, lambda resp: self.respond(resp))
 
     def respond(self, response: Response) -> None:
@@ -648,11 +643,10 @@ class BufferCommandLayer:
         trace = probe.session
         if trace is not None:
             journeys = trace.journeys
-            if journeys is not None:
-                jid = journeys.bound(self.channel_name, response.tag)
-                if jid is not None:
-                    # buffer window: command dispatch through response ready
-                    journeys.stage_to(jid, "buffer", self.sim.now_ps)
+            jid = journeys.bound(self.channel_name, response.tag)
+            if jid is not None:
+                # buffer window: command dispatch through response ready
+                journeys.stage_to(jid, "buffer", self.sim.now_ps)
         tag, data = response.tag, response.data
         dones = (DoneNotice(tag),)
         if data is None:

@@ -71,6 +71,16 @@ class LinkErrorModel:
         return bytes(out)
 
 
+class LinkCounts(probe.Counts):
+    """Frames one link direction put on the wire, and frames it delivered
+    corrupted."""
+
+    METRICS = {
+        "frames_sent": "dmi.frames_sent",
+        "frames_corrupted": "dmi.frames_corrupted",
+    }
+
+
 def configure_link_errors(
     links: Iterable[SerialLink], frame_error_rate: float, max_flips: int = 1
 ) -> List[Tuple[float, int]]:
@@ -150,9 +160,7 @@ class SerialLink:
         #: span label, formatted once — send() traces every frame
         self._trace_label = f"frame:{name}"
         self._deliver: Optional[Callable[[Union[Frame, bytes]], None]] = None
-        # Stats
-        self.frames_sent = 0
-        self.frames_corrupted = 0
+        self.counts = LinkCounts()
         self.busy_ps = 0
 
     # -- wiring ------------------------------------------------------------
@@ -229,12 +237,11 @@ class SerialLink:
             wire = em.corrupt(wire, self.rng)
         self._in_flight += 1
         arrival = start + wire_ps + self.latency_ps
-        self.frames_sent += 1
+        self.counts.frames_sent += 1
         trace = probe.session
         if trace is not None:
             # serialization start through delivery: the whole wire transit
             trace.complete("dmi", self._trace_label, start, arrival)
-            trace.count("dmi.frames_sent")
         self.sim.call_at(arrival, self._arrive, sent, wire, key)
         return arrival
 
@@ -260,11 +267,10 @@ class SerialLink:
             n = len(wire)
             received = (int.from_bytes(wire, "little") ^ key).to_bytes(n, "little")
         if received != sent:
-            self.frames_corrupted += 1
+            self.counts.frames_corrupted += 1
             trace = probe.session
             if trace is not None:
                 trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
-                trace.count("dmi.frames_corrupted")
         self._deliver(received)
 
     def utilization(self, window_ps: int) -> float:

@@ -79,7 +79,7 @@ class FaultController:
         for event in self.plan.compile(self.seed):
             self.sim.call_at(offset + event.at_ps, self._fire, event)
         trace = probe.session
-        if trace is not None and trace.journeys is not None:
+        if trace is not None:
             self._tracker = trace.journeys
             self._tracker.fault_probe = self.fault_tags
         return self

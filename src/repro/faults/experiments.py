@@ -68,7 +68,7 @@ def _endpoint_stats(channel) -> Tuple[int, int]:
     """(replays, crc drops) summed over both endpoints."""
     eps = (channel.host_endpoint, channel.buffer_endpoint)
     return (
-        sum(e.replays_triggered for e in eps),
+        sum(e.counts.replays_triggered for e in eps),
         sum(e.crc_drops for e in eps),
     )
 
@@ -328,7 +328,8 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
     table.add_row(
         "wcache clean", result.total_writes, f"{result.iops:.0f}",
         f"{result.mean_latency_us:.1f}", result.errors,
-        log.io_retries + hdd.io_retries, cache.stalls, cache.destages, 0,
+        log.counts.io_retries + hdd.counts.io_retries, cache.counts.stalls,
+        cache.counts.destages, 0,
     )
 
     # -- direct SSD with forced IO failures --------------------------------
@@ -354,7 +355,7 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
     report = controller.stop()
     table.add_row(
         "ssd io_errors", result.total_writes, f"{result.iops:.0f}",
-        f"{result.mean_latency_us:.1f}", result.errors, ssd.io_retries,
+        f"{result.mean_latency_us:.1f}", result.errors, ssd.counts.io_retries,
         "-", "-", report.total("injected"),
     )
 
@@ -380,8 +381,8 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
     table.add_row(
         "wcache faulted", result.total_writes, f"{result.iops:.0f}",
         f"{result.mean_latency_us:.1f}", result.errors,
-        log.io_retries + hdd.io_retries, cache.stalls, cache.destages,
-        report.total("injected"),
+        log.counts.io_retries + hdd.counts.io_retries, cache.counts.stalls,
+        cache.counts.destages, report.total("injected"),
     )
     table.add_note(
         "tiny log geometry (4 x 16 KiB segments) makes destage backpressure "

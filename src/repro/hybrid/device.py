@@ -75,6 +75,19 @@ class TieredConfig:
             raise ConfigurationError("tier migrate_budget_bytes must be >= 0")
 
 
+class TierCounts(probe.Counts):
+    """Accesses served per tier, and the page migrations run or stalled."""
+
+    METRICS = {
+        "fast_hits": "tier.fast_hits",
+        "slow_hits": "tier.slow_hits",
+        "promotions": "tier.promotions",
+        "demotions": "tier.demotions",
+        "migrated_bytes": "tier.migrated_bytes",
+        "migration_stalls": "tier.migration_stalls",
+    }
+
+
 class TieredMemory(MemoryDevice):
     """Two memory devices behind one address space with page migration."""
 
@@ -131,13 +144,8 @@ class TieredMemory(MemoryDevice):
         self._hand = 0
         #: injected fault state: migrations stall while frozen
         self.migration_frozen = False
-        # Stats (occupancy sampler reads hot_slow_pages as a gauge)
-        self.fast_hits = 0
-        self.slow_hits = 0
-        self.promotions = 0
-        self.demotions = 0
-        self.migrated_bytes = 0
-        self.migration_stalls = 0
+        self.counts = TierCounts()
+        #: the occupancy sampler reads this as a gauge
         self.hot_slow_pages = 0
 
     # -- geometry ------------------------------------------------------------
@@ -167,10 +175,7 @@ class TieredMemory(MemoryDevice):
     def note_stall(self) -> None:
         """A migration the policy wanted but could not run (frozen tier
         or exhausted budget); demand proceeds from the slow tier."""
-        self.migration_stalls += 1
-        trace = probe.session
-        if trace is not None:
-            trace.count("tier.migration_stalls")
+        self.counts.migration_stalls += 1
 
     # -- hotness -------------------------------------------------------------
 
@@ -242,14 +247,10 @@ class TieredMemory(MemoryDevice):
             self.hot_slow_pages -= 1
         if self.heat(victim) >= thr:
             self.hot_slow_pages += 1
-        self.promotions += 1
-        self.demotions += 1
-        self.migrated_bytes += 2 * pb
-        trace = probe.session
-        if trace is not None:
-            trace.count("tier.promotions")
-            trace.count("tier.demotions")
-            trace.count("tier.migrated_bytes", 2 * pb)
+        counts = self.counts
+        counts.promotions += 1
+        counts.demotions += 1
+        counts.migrated_bytes += 2 * pb
         return end_ps
 
     # -- access path ---------------------------------------------------------
@@ -266,10 +267,10 @@ class TieredMemory(MemoryDevice):
         local = frame * pb + (addr % pb)
         if tier == FAST:
             self._ref[frame] = 1
-            self.fast_hits += 1
+            self.counts.fast_hits += 1
             device = self.fast
         else:
-            self.slow_hits += 1
+            self.counts.slow_hits += 1
             device = self.slow
         if op == "read":
             data, end_ps = device.read(local, len(payload), migrate_end)
@@ -277,9 +278,8 @@ class TieredMemory(MemoryDevice):
             data, end_ps = None, device.write(local, payload, migrate_end)
         trace = probe.session
         if trace is not None:
-            trace.count("tier.fast_hits" if tier == FAST else "tier.slow_hits")
             journeys = trace.journeys
-            jid = journeys.current() if journeys is not None else None
+            jid = journeys.current()
             if jid is not None:
                 if migrate_end > start_ps:
                     journeys.stage_span(

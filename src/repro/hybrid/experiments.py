@@ -11,15 +11,14 @@ any worker count.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional
+from typing import Optional
 
 from ..core.results import ResultTable
 from ..core.system import CardSpec, ContuttoSystem
 from ..errors import ConfigurationError
 from ..faults import FaultController, FaultPlan
 from ..sim import derive_seed
-from ..telemetry import probe
+from ..telemetry import nearest_rank, probe
 from ..units import MIB
 from ..workloads.replay import generate, replay, replay_depth
 from ..workloads.trace import TraceSpec
@@ -42,10 +41,6 @@ _EPOCH_PS = 50_000_000
 #: migration allowance per epoch — tight enough that the budget policy
 #: visibly stalls promotions the clock policy would run
 _BUDGET_BYTES = 32 * 1024
-
-
-def _percentile(ordered: List[int], pct: float) -> int:
-    return ordered[max(0, math.ceil(pct / 100 * len(ordered)) - 1)]
 
 
 def run_tiered_replay(
@@ -104,13 +99,14 @@ def run_tiered_replay(
         controller.stop()
 
     devices = [port.device for port in system.cards[0].buffer.ports]
-    fast_hits = sum(d.fast_hits for d in devices)
-    slow_hits = sum(d.slow_hits for d in devices)
+    counts = [d.counts for d in devices]
+    fast_hits = sum(c.fast_hits for c in counts)
+    slow_hits = sum(c.slow_hits for c in counts)
     accesses = fast_hits + slow_hits
     hit_rate = fast_hits / accesses if accesses else 0.0
-    promotions = sum(d.promotions for d in devices)
-    stalls = sum(d.migration_stalls for d in devices)
-    migrated_kib = sum(d.migrated_bytes for d in devices) / 1024
+    promotions = sum(c.promotions for c in counts)
+    stalls = sum(c.migration_stalls for c in counts)
+    migrated_kib = sum(c.migrated_bytes for c in counts) / 1024
     trace = probe.session
     if trace is not None:
         # the suite report reads these from the merged metrics snapshot
@@ -128,7 +124,7 @@ def run_tiered_replay(
         policy, workload, len(stream), fast_hits, slow_hits,
         f"{hit_rate:.3f}", promotions, stalls, f"{migrated_kib:.0f}",
         f"{sum(ordered) / len(ordered) / 1_000:.1f}",
-        f"{_percentile(ordered, 99) / 1_000:.1f}", errors,
+        f"{nearest_rank(ordered, 99) / 1_000:.1f}", errors,
     )
     table.add_note(
         f"2x {_DIMM_BYTES // MIB} MiB tiered DIMMs (25% DRAM fast tier), "

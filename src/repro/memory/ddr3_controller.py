@@ -35,6 +35,15 @@ class MemoryControllerConfig:
     queue_depth: int = 16
 
 
+class ControllerCounts(probe.Counts):
+    """Reads and writes submitted to one memory controller."""
+
+    METRICS = {
+        "reads_submitted": "memory.reads",
+        "writes_submitted": "memory.writes",
+    }
+
+
 class MemoryController:
     """A queued, pipelined front end over one memory device."""
 
@@ -57,9 +66,7 @@ class MemoryController:
         self.name = name or f"mc.{device.name}"
         self._in_flight = 0
         self._stalled: List[Signal] = []
-        # Stats
-        self.reads_submitted = 0
-        self.writes_submitted = 0
+        self.counts = ControllerCounts()
         self.queue_full_stalls = 0
         self.uncorrectable_errors = 0
 
@@ -82,11 +89,10 @@ class MemoryController:
             lambda: self._do_read(addr, nbytes, done, journey),
             self._journey_probe(journey, done),
         )
-        self.reads_submitted += 1
+        self.counts.reads_submitted += 1
         trace = probe.session
         if trace is not None:
             self._trace_op(trace, done, "rd")
-            trace.count("memory.reads")
         return done
 
     def submit_write(
@@ -98,11 +104,10 @@ class MemoryController:
             lambda: self._do_write(addr, data, done, journey),
             self._journey_probe(journey, done),
         )
-        self.writes_submitted += 1
+        self.counts.writes_submitted += 1
         trace = probe.session
         if trace is not None:
             self._trace_op(trace, done, "wr")
-            trace.count("memory.writes")
         return done
 
     def _trace_op(self, trace, done: Signal, op: str) -> None:
@@ -119,10 +124,9 @@ class MemoryController:
         journey, or None when attribution is off (the common case)."""
         if journey is None:
             return None
-        trace = probe.session
-        if trace is None or trace.journeys is None:
+        journeys = probe.tracker()
+        if journeys is None:
             return None
-        journeys = trace.journeys
         submit_ps = self.sim.now_ps
 
         def on_start() -> None:
@@ -167,10 +171,7 @@ class MemoryController:
         the enclosing journey through this ambient context."""
         if journey is None:
             return None
-        trace = probe.session
-        if trace is None or trace.journeys is None:
-            return None
-        return trace.journeys
+        return probe.tracker()
 
     def _do_read(
         self, addr: int, nbytes: int, done: Signal,

@@ -50,15 +50,13 @@ class HostMemoryController:
         if trace is not None:
             # every transaction passes here, so this is the arrival point
             # that drives periodic occupancy sampling
-            if trace.occupancy is not None:
-                trace.occupancy.maybe_sample(trace, issued_at)
+            trace.occupancy.maybe_sample(trace, issued_at)
             journeys = trace.journeys
-            if journeys is not None:
-                # a line command issued inside a storage transfer becomes a
-                # *child* journey of it (separate ":lines" scenario lane)
-                jid = journeys.begin(opcode.value, addr, self.channel.name,
-                                     issued_at, parent=journeys.current(),
-                                     depth=self.tags.in_flight_count)
+            # a line command issued inside a storage transfer becomes a
+            # *child* journey of it (separate ":lines" scenario lane)
+            jid = journeys.begin(opcode.value, addr, self.channel.name,
+                                 issued_at, parent=journeys.current(),
+                                 depth=self.tags.in_flight_count)
 
         def with_tag(tag: int) -> None:
             if jid is not None:

@@ -17,91 +17,51 @@ run_service.py`` is the CLI; the format and column reference live in
 ``docs/service.md``.
 """
 
-from .classes import (
-    REQUEST_CLASSES,
-    SYSTEM_CLASSES,
-    ServiceProfile,
-    calibrate,
-    profiles_from_json,
-    profiles_to_json,
-)
-from .driver import ServiceDriver, ServiceResult
-from .loop import (
-    OUTCOME_STATUSES,
-    RequestOutcome,
-    ServiceLoop,
-    run_service,
-)
-from .schedule import (
-    PHASE_KINDS,
-    PS_PER_MS,
-    SERVICE_SCHEMA,
-    Arrival,
-    ArrivalSchedule,
-    Phase,
-    Tenant,
-    generate_arrivals,
-)
-from .shard import (
-    CALIBRATION_COLUMNS,
-    SHARD_COLUMNS,
-    calibrate_classes,
-    calibration_seed,
-    draw_demand,
-    profiles_from_table,
-    rep_seed,
-    run_service_calibrate,
-    run_service_shard,
-)
-from .table import (
-    RUN_TABLE_COLUMNS,
-    demand_stream,
-    merge_shard_demands,
-    render_run_table_csv,
-    render_summary,
-    run_table_columns,
-    run_table_records,
-    window_rows,
-    write_run_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Arrival",
-    "ArrivalSchedule",
-    "CALIBRATION_COLUMNS",
-    "OUTCOME_STATUSES",
-    "PHASE_KINDS",
-    "PS_PER_MS",
-    "Phase",
-    "REQUEST_CLASSES",
-    "RUN_TABLE_COLUMNS",
-    "RequestOutcome",
-    "SERVICE_SCHEMA",
-    "SHARD_COLUMNS",
-    "SYSTEM_CLASSES",
-    "ServiceDriver",
-    "ServiceLoop",
-    "ServiceProfile",
-    "ServiceResult",
-    "Tenant",
-    "calibrate",
-    "calibrate_classes",
-    "calibration_seed",
-    "demand_stream",
-    "draw_demand",
-    "generate_arrivals",
-    "merge_shard_demands",
-    "profiles_from_json",
-    "profiles_from_table",
-    "profiles_to_json",
-    "render_run_table_csv",
-    "render_summary",
-    "rep_seed",
-    "run_service",
-    "run_service_calibrate",
-    "run_service_shard",
-    "run_table_columns",
-    "run_table_records",
-    "window_rows",
-    "write_run_table",
-]
+#: public name -> submodule imported on first access (PEP 562): the CLI
+#: and the driver that fold profiles and merge shards load no simulator;
+#: only calibration and the shard workers do
+_EXPORTS = {
+    "Arrival": ".schedule",
+    "ArrivalSchedule": ".schedule",
+    "CALIBRATION_COLUMNS": ".profile",
+    "OUTCOME_STATUSES": ".loop",
+    "PHASE_KINDS": ".schedule",
+    "PS_PER_MS": ".schedule",
+    "Phase": ".schedule",
+    "REQUEST_CLASSES": ".classes",
+    "RUN_TABLE_COLUMNS": ".table",
+    "RequestOutcome": ".loop",
+    "SERVICE_SCHEMA": ".schedule",
+    "SHARD_COLUMNS": ".shard",
+    "SYSTEM_CLASSES": ".classes",
+    "ServiceDriver": ".driver",
+    "ServiceLoop": ".loop",
+    "ServiceProfile": ".profile",
+    "ServiceResult": ".driver",
+    "Tenant": ".schedule",
+    "calibrate": ".classes",
+    "calibrate_classes": ".shard",
+    "calibration_seed": ".shard",
+    "demand_stream": ".table",
+    "draw_demand": ".shard",
+    "generate_arrivals": ".schedule",
+    "merge_shard_demands": ".table",
+    "profiles_from_json": ".profile",
+    "profiles_from_table": ".profile",
+    "profiles_to_json": ".profile",
+    "render_run_table_csv": ".table",
+    "render_summary": ".table",
+    "rep_seed": ".schedule",
+    "run_service": ".loop",
+    "run_service_calibrate": ".shard",
+    "run_service_shard": ".shard",
+    "run_table_columns": ".table",
+    "run_table_records": ".table",
+    "window_rows": ".table",
+    "write_run_table": ".table",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

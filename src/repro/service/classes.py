@@ -39,19 +39,18 @@ with no system to inject into, so a plan leaves them untouched.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.system import CardSpec, ContuttoSystem
 from ..errors import ConfigurationError, SimulationError, StorageError
 from ..faults import FaultController, FaultPlan
 from ..sim import Rng, Simulator
 from ..sim.rng import derive_seed
-from ..storage import NVRAM_PCIE, PcieAttachedStore
+from ..storage import NVRAM_PCIE, DirectStore, PcieAttachedStore
 from ..telemetry import probe
 from ..units import CACHE_LINE_BYTES, MIB
 from ..workloads import GpfsJob, GpfsWriter, TraceSpec, pointer_chase
+from .profile import ServiceProfile
 
 #: every request class a schedule's tenants may reference
 REQUEST_CLASSES = (
@@ -75,72 +74,6 @@ _STORE_BYTES = 64 * MIB
 
 #: per-operation sim deadline — generous against any fault window
 _OP_TIMEOUT_PS = 10**12
-
-
-@dataclass(frozen=True)
-class ServiceProfile:
-    """Calibrated empirical service-time distribution of one class."""
-
-    klass: str
-    samples_ps: Tuple[int, ...]
-    ok: Tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if not self.samples_ps or len(self.samples_ps) != len(self.ok):
-            raise ConfigurationError(
-                f"profile {self.klass!r}: malformed sample set"
-            )
-
-    def draw(self, rng: Rng) -> Tuple[int, bool]:
-        """One (service time ps, success) draw from the empirical set."""
-        i = rng.randint(0, len(self.samples_ps) - 1)
-        return self.samples_ps[i], self.ok[i]
-
-    @property
-    def mean_ps(self) -> float:
-        return sum(self.samples_ps) / len(self.samples_ps)
-
-    def to_dict(self) -> dict:
-        return {
-            "klass": self.klass,
-            "samples_ps": list(self.samples_ps),
-            "ok": [int(v) for v in self.ok],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceProfile":
-        try:
-            return cls(
-                data["klass"],
-                tuple(int(v) for v in data["samples_ps"]),
-                tuple(bool(v) for v in data["ok"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed profile record: {exc}") from exc
-
-
-def profiles_to_json(profiles: dict) -> str:
-    """Canonical JSON of a ``{class: profile}`` map.
-
-    Canonical (sorted keys, no whitespace) because the string rides in
-    shard-job kwargs: the result cache keys on it, so the same profiles
-    must always serialize to the same bytes.
-    """
-    return json.dumps(
-        {klass: profiles[klass].to_dict() for klass in sorted(profiles)},
-        sort_keys=True, separators=(",", ":"),
-    )
-
-
-def profiles_from_json(text: str) -> dict:
-    """Parse a ``{class: profile}`` map written by :func:`profiles_to_json`."""
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad profiles JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError("profiles JSON must be an object")
-    return {klass: ServiceProfile.from_dict(rec) for klass, rec in raw.items()}
 
 
 def _run_op(sim: Simulator, signal) -> bool:
@@ -220,24 +153,12 @@ def _calibrate_storage(klass: str, samples: int, seed: int) -> ServiceProfile:
     return ServiceProfile(klass, tuple(times), tuple(oks))
 
 
-class _DirectWriteStore:
-    """Adapter: GPFS writer -> bare block device (offsets wrapped)."""
-
-    def __init__(self, device):
-        self.device = device
-        self.name = device.name
-
-    def write(self, offset, nbytes):
-        return self.device.submit_write(
-            offset % self.device.capacity_bytes, nbytes
-        )
-
-
 def _calibrate_gpfs(samples: int, seed: int) -> ServiceProfile:
     """Measure synchronous GPFS-style writes (software path + store)."""
     sim = Simulator()
-    store = _DirectWriteStore(
-        PcieAttachedStore(sim, _STORE_BYTES, NVRAM_PCIE, name="svc.gpfs")
+    store = DirectStore(
+        PcieAttachedStore(sim, _STORE_BYTES, NVRAM_PCIE, name="svc.gpfs"),
+        name="svc.gpfs",
     )
     writer = GpfsWriter(sim)
     probe.set_scenario("service:gpfs_write")

@@ -22,10 +22,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..errors import ConfigurationError
-from .classes import profiles_to_json
 from .loop import run_service
-from .schedule import ArrivalSchedule, generate_arrivals
-from .shard import profiles_from_table, rep_seed
+from .profile import profiles_from_table, profiles_to_json
+from .schedule import ArrivalSchedule, generate_arrivals, rep_seed
 from .table import (
     demand_stream,
     merge_shard_demands,

@@ -286,6 +286,11 @@ class Arrival:
     ops: int
 
 
+def rep_seed(seed: int, repetition: int) -> int:
+    """The seed one repetition's arrivals and calibrations derive from."""
+    return derive_seed(seed, f"rep{repetition}")
+
+
 def generate_arrivals(schedule: ArrivalSchedule, seed: int) -> List[Arrival]:
     """The full deterministic arrival stream of one repetition.
 

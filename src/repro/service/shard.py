@@ -30,20 +30,12 @@ from ..core.results import ResultTable
 from ..errors import ConfigurationError
 from ..faults import FaultPlan
 from ..sim.rng import Rng, derive_seed
-from .classes import ServiceProfile, calibrate, profiles_from_json
-from .schedule import Arrival, ArrivalSchedule, generate_arrivals
+from .classes import calibrate
+from .profile import CALIBRATION_COLUMNS, ServiceProfile, profiles_from_json
+from .schedule import Arrival, ArrivalSchedule, generate_arrivals, rep_seed
 
 #: columns of the shard demand table (the campaign-visible result)
 SHARD_COLUMNS = ["index", "tenant", "class", "service_ps", "ok"]
-
-#: columns of the calibration table (one row per calibrated sample)
-CALIBRATION_COLUMNS = ["class", "sample", "service_ps", "ok"]
-
-
-def rep_seed(seed: int, repetition: int) -> int:
-    """The seed one repetition's arrivals and calibrations derive from."""
-    return derive_seed(seed, f"rep{repetition}")
-
 
 def draw_demand(
     arrival: Arrival, profile: ServiceProfile, repetition_seed: int
@@ -123,20 +115,6 @@ def run_service_calibrate(
         )
     )
     return table
-
-
-def profiles_from_table(table: ResultTable) -> Dict[str, ServiceProfile]:
-    """Rebuild the ``{class: profile}`` map from a calibration table."""
-    samples: Dict[str, List[int]] = {}
-    oks: Dict[str, List[bool]] = {}
-    for row in table.rows:
-        record = dict(zip(CALIBRATION_COLUMNS, row))
-        samples.setdefault(record["class"], []).append(int(record["service_ps"]))
-        oks.setdefault(record["class"], []).append(bool(record["ok"]))
-    return {
-        klass: ServiceProfile(klass, tuple(samples[klass]), tuple(oks[klass]))
-        for klass in samples
-    }
 
 
 def run_service_shard(

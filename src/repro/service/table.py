@@ -22,7 +22,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..telemetry import bucket_of, sparkline
+from ..telemetry import bucket_of, nearest_rank, sparkline
 from .loop import RequestOutcome
 from .schedule import PS_PER_MS, Arrival, ArrivalSchedule, SERVICE_SCHEMA
 
@@ -63,14 +63,6 @@ def run_table_columns(schedule: ArrivalSchedule) -> List[str]:
     return list(RUN_TABLE_COLUMNS) + [
         f"slo_{t.name}" for t in schedule.tenants if t.slo_p99_ms is not None
     ]
-
-
-def _percentile(ordered: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile of an ascending sequence (0 when empty)."""
-    if not ordered:
-        return 0
-    rank = max(1, -(-int(q * len(ordered) * 100) // 100))  # ceil without floats
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 def merge_shard_demands(tables) -> Dict[int, Tuple[int, bool]]:
@@ -181,7 +173,7 @@ def window_rows(
             if not mine:
                 slo_cells[f"slo_{tenant.name}"] = ""
             else:
-                p99_ps = _percentile(mine, 0.99)
+                p99_ps = nearest_rank(mine, 99)
                 met = p99_ps <= tenant.slo_p99_ms * PS_PER_MS
                 slo_cells[f"slo_{tenant.name}"] = "met" if met else "missed"
         rows.append({
@@ -203,9 +195,9 @@ def window_rows(
                 queue_delay_ps[w] / admitted[w] / PS_PER_MS
                 if admitted[w] else 0.0
             ),
-            "latency_p50_ms": _percentile(ordered, 0.50) / PS_PER_MS,
-            "latency_p95_ms": _percentile(ordered, 0.95) / PS_PER_MS,
-            "latency_p99_ms": _percentile(ordered, 0.99) / PS_PER_MS,
+            "latency_p50_ms": nearest_rank(ordered, 50) / PS_PER_MS,
+            "latency_p95_ms": nearest_rank(ordered, 95) / PS_PER_MS,
+            "latency_p99_ms": nearest_rank(ordered, 99) / PS_PER_MS,
             "occupancy_mean": busy_ps[w] / (width_ps * schedule.servers),
             **slo_cells,
         })

@@ -71,6 +71,21 @@ class IoFaultModel:
         )
 
 
+class IoCounts(probe.Counts):
+    """Completed IOs of one block device, and its injected-fault outcomes."""
+
+    METRICS = {
+        "reads": "storage.reads",
+        "writes": "storage.writes",
+        "bytes_read": "storage.bytes_read",
+        "bytes_written": "storage.bytes_written",
+        "io_errors": "storage.io_errors",
+        "io_retries": "storage.io_retries",
+        "io_failures": "storage.io_failed",
+        "slowed_ios": "storage.slowed_ios",
+    }
+
+
 class BlockDevice:
     """Abstract block store with timed reads and writes."""
 
@@ -80,18 +95,11 @@ class BlockDevice:
         self.sim = sim
         self.capacity_bytes = capacity_bytes
         self.name = name
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
+        self.counts = IoCounts()
         #: injected fault state (None = healthy); see IoFaultModel
         self.io_fault: Optional[IoFaultModel] = None
         #: injected extra latency per IO (storage.slow_disk window)
         self.slow_extra_ps = 0
-        self.io_errors = 0
-        self.io_retries = 0
-        self.io_failures = 0
-        self.slowed_ios = 0
 
     # -- interface ----------------------------------------------------------
 
@@ -120,17 +128,14 @@ class BlockDevice:
         t0 = self.sim.now_ps
         schedule = self._schedule_read if op == "read" else self._schedule_write
         service_stage = stage or "storage.service"
-        journeys = None
         jid = None
         owned = False
-        trace = probe.session
-        if trace is not None:
-            journeys = trace.journeys
-            if journeys is not None:
-                jid = journeys.current()
-                if jid is None:
-                    jid = journeys.begin(f"storage.{op}", offset, self.name, t0)
-                    owned = jid is not None
+        journeys = probe.tracker()
+        if journeys is not None:
+            jid = journeys.current()
+            if jid is None:
+                jid = journeys.begin(f"storage.{op}", offset, self.name, t0)
+                owned = jid is not None
         state = {"attempt": 0, "queue_end": t0, "slowed": False}
 
         def stage_to(end_ps: int) -> None:
@@ -141,32 +146,26 @@ class BlockDevice:
 
         def finish(error: Optional[StorageError]) -> None:
             now = self.sim.now_ps
+            counts = self.counts
             trace = probe.session
             if error is None:
                 if op == "read":
-                    self.reads += 1
-                    self.bytes_read += nbytes
+                    counts.reads += 1
+                    counts.bytes_read += nbytes
                 else:
-                    self.writes += 1
-                    self.bytes_written += nbytes
+                    counts.writes += 1
+                    counts.bytes_written += nbytes
                 if trace is not None:
                     span = "rd" if op == "read" else "wr"
                     trace.complete(
                         "storage", f"{span}:{self.name}", t0, now,
                         {"bytes": nbytes},
                     )
-                    if op == "read":
-                        trace.count("storage.reads")
-                        trace.count("storage.bytes_read", nbytes)
-                    else:
-                        trace.count("storage.writes")
-                        trace.count("storage.bytes_written", nbytes)
             else:
-                self.io_failures += 1
+                counts.io_failures += 1
                 if trace is not None:
                     trace.instant("storage", f"io_error:{self.name}", now,
                                   {"op": op, "offset": offset})
-                    trace.count("storage.io_failed")
             stage_to(now)
             if owned:
                 journeys.finish(jid, now)
@@ -177,23 +176,15 @@ class BlockDevice:
             if self.slow_extra_ps and not state["slowed"]:
                 # a slow-disk window delays every IO once, after service
                 state["slowed"] = True
-                self.slowed_ios += 1
-                trace = probe.session
-                if trace is not None:
-                    trace.count("storage.slowed_ios")
+                self.counts.slowed_ios += 1
                 self.sim.call_after(self.slow_extra_ps, complete)
                 return
             fault = self.io_fault
             if fault is not None and fault.should_fail():
-                self.io_errors += 1
-                trace = probe.session
-                if trace is not None:
-                    trace.count("storage.io_errors")
+                self.counts.io_errors += 1
                 if state["attempt"] < fault.max_retries:
                     state["attempt"] += 1
-                    self.io_retries += 1
-                    if trace is not None:
-                        trace.count("storage.io_retries")
+                    self.counts.io_retries += 1
                     # account the failed attempt before re-queueing
                     stage_to(now)
                     state["queue_end"] = now

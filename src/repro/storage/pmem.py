@@ -168,6 +168,24 @@ class PmemRegion:
         return self.socket.flush_channel(self.channel)
 
 
+class PmemIoCounts(probe.Counts):
+    """A pmem adapter's injected-fault outcomes, published like a block
+    device's; its completed reads and writes are not published as
+    ``storage.*`` (the line traffic under them counts at DMI and memory)."""
+
+    METRICS = {
+        "io_errors": "storage.io_errors",
+        "io_retries": "storage.io_retries",
+        "io_failures": "storage.io_failed",
+        "slowed_ios": "storage.slowed_ios",
+    }
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+        self.writes = 0
+
+
 class PmemBlockDevice:
     """Adapts a :class:`PmemRegion` to the block-device interface.
 
@@ -184,16 +202,11 @@ class PmemBlockDevice:
         self.capacity_bytes = region.size
         self.name = f"{region.name}.blk"
         self.persist_writes = persist_writes
-        self.reads = 0
-        self.writes = 0
+        self.counts = PmemIoCounts()
         #: injected fault state (None = healthy); see IoFaultModel
         self.io_fault: Optional[IoFaultModel] = None
         #: injected extra latency per IO (storage.slow_disk window)
         self.slow_extra_ps = 0
-        self.io_errors = 0
-        self.io_retries = 0
-        self.io_failures = 0
-        self.slowed_ios = 0
 
     # -- shared plumbing -----------------------------------------------------
 
@@ -213,21 +226,16 @@ class PmemBlockDevice:
         fault = self.io_fault
         if fault is None or not fault.should_fail():
             return None
-        self.io_errors += 1
-        trace = probe.session
-        if trace is not None:
-            trace.count("storage.io_errors")
+        self.counts.io_errors += 1
         if state["attempt"] < fault.max_retries:
             state["attempt"] += 1
-            self.io_retries += 1
-            if trace is not None:
-                trace.count("storage.io_retries")
+            self.counts.io_retries += 1
             return "retry"
-        self.io_failures += 1
+        self.counts.io_failures += 1
+        trace = probe.session
         if trace is not None:
             trace.instant("storage", f"io_error:{self.name}", self.sim.now_ps,
                           {"op": op, "offset": offset})
-            trace.count("storage.io_failed")
         return StorageError(
             f"{self.name}: injected IO error on {op} at {offset:#x} "
             f"({fault.max_retries} retries exhausted)"
@@ -237,10 +245,7 @@ class PmemBlockDevice:
                 error, state: dict) -> None:
         if self.slow_extra_ps and not state.get("slowed"):
             state["slowed"] = True
-            self.slowed_ios += 1
-            trace = probe.session
-            if trace is not None:
-                trace.count("storage.slowed_ios")
+            self.counts.slowed_ios += 1
             self.sim.call_after(
                 self.slow_extra_ps,
                 self._finish, done, journeys, jid, owned, error, state,
@@ -278,7 +283,7 @@ class PmemBlockDevice:
                 attempt()
                 return
             if verdict is None:
-                self.reads += 1
+                self.counts.reads += 1
             self._finish(done, journeys, jid, owned, verdict, state)
 
         attempt()
@@ -307,7 +312,7 @@ class PmemBlockDevice:
             if verdict is not None:
                 self._finish(done, journeys, jid, owned, verdict, state)
                 return
-            self.writes += 1
+            self.counts.writes += 1
             if not self.persist_writes:
                 self._finish(done, journeys, jid, owned, None, state)
                 return

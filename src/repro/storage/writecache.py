@@ -73,6 +73,22 @@ class WriteCacheConfig:
             )
 
 
+class WriteCacheCounts(probe.Counts):
+    """What one write cache served, staged, destaged and stalled."""
+
+    METRICS = {
+        "read_hits": "storage.wcache.read_hits",
+        "read_misses": "storage.wcache.read_misses",
+        "writes_staged": "storage.wcache.staged",
+        "destages": "storage.wcache.destages",
+        "stalls": "storage.wcache.stalls",
+        "wrap_splits": "storage.wcache.wrap_splits",
+        "stage_errors": "storage.wcache.stage_errors",
+        "destage_errors": "storage.wcache.destage_errors",
+        "freezes": "storage.wcache.freezes",
+    }
+
+
 class NvWriteCache:
     """Write-back cache: NVM log in front of a slow sequential-friendly disk."""
 
@@ -107,16 +123,7 @@ class NvWriteCache:
         #: staged-but-not-destaged extents, oldest first:
         #: ``[app_offset, nbytes, log_offset]`` — the read path's index
         self._resident: List[List[int]] = []
-        # Stats
-        self.read_hits = 0
-        self.read_misses = 0
-        self.writes_staged = 0
-        self.destages = 0
-        self.stalls = 0
-        self.wrap_splits = 0
-        self.stage_errors = 0
-        self.destage_errors = 0
-        self.freezes = 0
+        self.counts = WriteCacheCounts()
         #: high-water mark of staged-but-not-destaged log bytes; bounded
         #: by ``segment_bytes * segments`` now that admission is strict
         self.max_occupancy_bytes = 0
@@ -132,19 +139,16 @@ class NvWriteCache:
         success or the surfaced :class:`StorageError`.
         """
         done = Signal(f"{self.name}.r")
-        journeys = None
         jid = None
         owned = False
-        trace = probe.session
-        if trace is not None:
-            journeys = trace.journeys
-            if journeys is not None:
-                jid = journeys.current()
-                if jid is None:
-                    jid = journeys.begin(
-                        "storage.read", offset, self.name, self.sim.now_ps
-                    )
-                    owned = jid is not None
+        journeys = probe.tracker()
+        if journeys is not None:
+            jid = journeys.current()
+            if jid is None:
+                jid = journeys.begin(
+                    "storage.read", offset, self.name, self.sim.now_ps
+                )
+                owned = jid is not None
 
         def finished(error) -> None:
             if owned and journeys is not None and jid is not None:
@@ -153,9 +157,7 @@ class NvWriteCache:
 
         extent = self._find_resident(offset, nbytes)
         if extent is None:
-            self.read_misses += 1
-            if trace is not None:
-                trace.count("storage.wcache.read_misses")
+            self.counts.read_misses += 1
             if journeys is not None:
                 journeys.push(jid)
             inner = self.backing.submit_read(
@@ -166,9 +168,7 @@ class NvWriteCache:
             inner.add_waiter(finished)
             return done
 
-        self.read_hits += 1
-        if trace is not None:
-            trace.count("storage.wcache.read_hits")
+        self.counts.read_hits += 1
         # the staged copy may straddle the circular-log end even when the
         # original write did not retire there — split like the write path
         log_size = self.config.segment_bytes * self.config.segments
@@ -234,19 +234,16 @@ class NvWriteCache:
         surfaced by the log device (injected IO failure past its retry
         bound)."""
         done = Signal(f"{self.name}.w")
-        journeys = None
         jid = None
         owned = False
-        trace = probe.session
-        if trace is not None:
-            journeys = trace.journeys
-            if journeys is not None:
-                jid = journeys.current()
-                if jid is None:
-                    jid = journeys.begin(
-                        "storage.write", offset, self.name, self.sim.now_ps
-                    )
-                    owned = jid is not None
+        journeys = probe.tracker()
+        if journeys is not None:
+            jid = journeys.current()
+            if jid is None:
+                jid = journeys.begin(
+                    "storage.write", offset, self.name, self.sim.now_ps
+                )
+                owned = jid is not None
         self._admit(offset, nbytes, done, jid, owned, first=True)
         return done
 
@@ -266,14 +263,13 @@ class NvWriteCache:
         if (self._full_segments >= self.config.segments - 1
                 or (first and self._stalled)):
             if first:
-                self.stalls += 1
+                self.counts.stalls += 1
                 trace = probe.session
                 if trace is not None:
                     trace.instant(
                         "storage", f"stall:{self.name}", self.sim.now_ps,
                         {"full_segments": self._full_segments},
                     )
-                    trace.count("storage.wcache.stalls")
             gate = Signal(f"{self.name}.stall")
             if first:
                 self._stalled.append(gate)
@@ -315,10 +311,7 @@ class NvWriteCache:
         parts = [(log_offset, first_part)]
         if first_part < nbytes:
             parts.append((0, nbytes - first_part))
-            self.wrap_splits += 1
-            trace = probe.session
-            if trace is not None:
-                trace.count("storage.wcache.wrap_splits")
+            self.counts.wrap_splits += 1
         pending = {"count": len(parts), "error": None}
         journeys = probe.tracker()
 
@@ -329,15 +322,10 @@ class NvWriteCache:
             if pending["count"]:
                 return
             error = pending["error"]
-            trace = probe.session
             if error is None:
-                self.writes_staged += 1
-                if trace is not None:
-                    trace.count("storage.wcache.staged")
+                self.counts.writes_staged += 1
             else:
-                self.stage_errors += 1
-                if trace is not None:
-                    trace.count("storage.wcache.stage_errors")
+                self.counts.stage_errors += 1
             if owned and journeys is not None and jid is not None:
                 journeys.finish(jid, self.sim.now_ps)
             done.trigger(error)
@@ -364,10 +352,7 @@ class NvWriteCache:
         """Suspend the destager (the ``storage.destage_stall`` injector);
         staged writes keep accumulating until the log fills and stalls."""
         self._frozen = True
-        self.freezes += 1
-        trace = probe.session
-        if trace is not None:
-            trace.count("storage.wcache.freezes")
+        self.counts.freezes += 1
 
     def unfreeze_destage(self) -> None:
         """Resume the destager and drain any backlog."""
@@ -403,15 +388,12 @@ class NvWriteCache:
             if isinstance(value, StorageError):
                 # the segment stays full; back off and retry on the next
                 # trigger (the retry IO lands at the same disk offset)
-                self.destage_errors += 1
+                self.counts.destage_errors += 1
                 self._next_disk_offset = disk_offset
                 self._destage_active = False
-                trace = probe.session
-                if trace is not None:
-                    trace.count("storage.wcache.destage_errors")
                 self._maybe_destage()
                 return
-            self.destages += 1
+            self.counts.destages += 1
             self._full_segments -= 1
             self._retire(self.config.segment_bytes)
             self._destage_active = False
@@ -422,7 +404,6 @@ class NvWriteCache:
                     destage_start, self.sim.now_ps,
                     {"bytes": self.config.segment_bytes},
                 )
-                trace.count("storage.wcache.destages")
             # one segment freed -> wake the head of the stall queue; it
             # re-runs admission and chain-wakes further writers only
             # while space remains
@@ -434,14 +415,18 @@ class NvWriteCache:
 
 
 class DirectStore:
-    """No-cache comparison path: every IO goes straight to the device."""
+    """No-cache comparison path: every IO goes straight to the device.
+
+    Offsets wrap at the device's capacity, so a GPFS file larger than
+    the device maps onto it.
+    """
 
     def __init__(self, device, name: str = "direct"):
         self.device = device
         self.name = name
 
     def write(self, offset: int, nbytes: int) -> Signal:
-        return self.device.submit_write(offset, nbytes)
+        return self.device.submit_write(offset % self.device.capacity_bytes, nbytes)
 
     def read(self, offset: int, nbytes: int) -> Signal:
-        return self.device.submit_read(offset, nbytes)
+        return self.device.submit_read(offset % self.device.capacity_bytes, nbytes)

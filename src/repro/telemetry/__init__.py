@@ -42,7 +42,7 @@ from .attribution import (
 )
 from .buckets import bucket_of, slice_width, sparkline
 from .chrome import load_chrome_trace, to_chrome_events, write_chrome_trace
-from .metrics import Counter, Gauge, Histogram, Metric
+from .metrics import Counter, Gauge, Histogram, Metric, nearest_rank
 from .registry import MetricsRegistry
 from .session import TraceEvent, TraceSession
 
@@ -68,6 +68,7 @@ __all__ = [
     "load_chrome_trace",
     "merge_attribution",
     "meta_record",
+    "nearest_rank",
     "occupancy_sources",
     "read_attribution",
     "read_jsonl",

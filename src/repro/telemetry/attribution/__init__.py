@@ -33,7 +33,6 @@ from .artifact import (
 )
 from .breakdown import LatencyBreakdown
 from .journey import (
-    DEFAULT_MAX_JOURNEYS,
     QUEUE,
     QUEUE_STAGES,
     SERVICE,
@@ -43,13 +42,11 @@ from .journey import (
     StageVisit,
     journey_chrome_extras,
 )
-from .sampler import DEFAULT_OCCUPANCY_PERIOD_PS, OccupancySampler, occupancy_sources
+from .sampler import OccupancySampler, occupancy_sources
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
     "ATTRIBUTION_SCHEMA_VERSION",
-    "DEFAULT_MAX_JOURNEYS",
-    "DEFAULT_OCCUPANCY_PERIOD_PS",
     "Journey",
     "JourneyTracker",
     "LatencyBreakdown",

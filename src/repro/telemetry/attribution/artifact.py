@@ -119,8 +119,6 @@ def stage_summary_records(breakdown: LatencyBreakdown) -> List[dict]:
 def session_attribution_records(session) -> List[dict]:
     """The full record stream for one :class:`TraceSession`'s journeys."""
     tracker = session.journeys
-    if tracker is None:
-        return [attribution_meta(session.name, 0, 0, 0, [], enabled=False)]
     breakdown = LatencyBreakdown()
     journeys = session.journey_records()
     breakdown.add_records(journeys)

@@ -36,7 +36,6 @@ class OccupancySampler:
         #: (metric name, reader) pairs — names are prefixed once at
         #: registration, not re-formatted on every sample
         self._items: list = []
-        self.samples_taken = 0
         self._next_due_ps = 0
 
     def set_sources(self, sources: Dict[str, Callable[[], float]]) -> None:
@@ -48,14 +47,14 @@ class OccupancySampler:
         ]
 
     def maybe_sample(self, trace, now_ps: int) -> bool:
-        """Sample every source if the period has elapsed; returns whether
-        a sample was taken.  Call sites are already under the ambient
-        probe nil-check, so the disabled cost stays one attribute load."""
+        """Sample every source into ``trace`` if the period has elapsed;
+        returns whether a sample was taken.  Call sites are already under
+        the ambient probe nil-check, so the disabled cost stays one
+        attribute load."""
         if now_ps < self._next_due_ps or not self._items:
             return False
         self._next_due_ps = now_ps + self.period_ps
-        self.samples_taken += 1
-        trace.count("occupancy.samples")
+        trace.counts.occupancy_samples += 1
         for name, read in self._items:
             trace.record(name, read())
         return True

@@ -14,7 +14,7 @@ measurement semantics:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from ..errors import TelemetryError
 
@@ -22,6 +22,14 @@ Number = Union[int, float]
 
 #: the percentile set reported by default summaries
 DEFAULT_PERCENTILES = (50.0, 95.0, 99.0)
+
+
+def nearest_rank(ordered: Sequence[Number], pct: float) -> Number:
+    """The nearest-rank ``pct`` percentile of an ascending sequence, 0
+    when it is empty: the repo-wide convention for every percentile."""
+    if not ordered:
+        return 0
+    return ordered[max(0, math.ceil(pct / 100 * len(ordered)) - 1)]
 
 
 class Metric:
@@ -138,11 +146,7 @@ class Histogram(Metric):
         """Nearest-rank percentile, ``pct`` in [0, 100]; 0 when empty."""
         if not 0 <= pct <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        if not self.samples:
-            return 0
-        ordered = sorted(self.samples)
-        rank = max(0, math.ceil(pct / 100 * len(ordered)) - 1)
-        return ordered[rank]
+        return nearest_rank(sorted(self.samples), pct)
 
     def percentiles(
         self, pcts: Iterable[float] = DEFAULT_PERCENTILES
@@ -157,11 +161,7 @@ class Histogram(Metric):
         for pct in pcts:
             if not 0 <= pct <= 100:
                 raise ValueError(f"percentile must be in [0, 100], got {pct}")
-            if not ordered:
-                out[_pct_key(pct)] = 0
-                continue
-            rank = max(0, math.ceil(pct / 100 * len(ordered)) - 1)
-            out[_pct_key(pct)] = ordered[rank]
+            out[_pct_key(pct)] = nearest_rank(ordered, pct)
         return out
 
     def summary(self) -> Dict[str, float]:

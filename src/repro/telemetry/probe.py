@@ -1,13 +1,16 @@
 """The ambient trace hook instrumented components consult.
 
 This module is the *entire* coupling between the simulation models and the
-telemetry subsystem: instrumented code does
+telemetry subsystem.  A count the component keeps anyway lives in its
+:class:`Counts` object, which the session's snapshots read; everything
+else goes through the ambient session:
 
     from ..telemetry import probe
     ...
+    self.counts.frames_sent += 1
     trace = probe.session
     if trace is not None:
-        trace.count("dmi.frames_sent")
+        trace.complete("dmi", label, start_ps, end_ps)
 
 ``probe.session`` is ``None`` whenever no :class:`~repro.telemetry.session.
 TraceSession` is active, so the disabled cost at every instrumentation
@@ -22,12 +25,32 @@ accidental nesting and leaked sessions deterministically.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..errors import TelemetryError
 
 #: the active TraceSession, or None (telemetry off).  Read directly.
 session: Optional[object] = None
+
+
+class Counts:
+    """The counts one component keeps, which snapshots read in place.
+
+    A subclass maps each field (0 at first) to its metric name in
+    ``METRICS``.  Made while a session is active, the object joins that
+    session's registry, whose snapshots add each field under its name;
+    made with no session active, it joins none.  The registry holds this
+    object, never the component, so a dropped system is still collected.
+    """
+
+    #: field name -> metric name
+    METRICS: Dict[str, str] = {}
+
+    def __init__(self) -> None:
+        for field in self.METRICS:
+            setattr(self, field, 0)
+        if session is not None:
+            session.registry.add_counts(self)
 
 
 def activate(new_session: object) -> None:
@@ -55,8 +78,7 @@ def active() -> bool:
 
 
 def tracker():
-    """The ambient session's journey tracker, or None (telemetry or
-    attribution off)."""
+    """The ambient session's journey tracker, or None (no session)."""
     return session.journeys if session is not None else None
 
 

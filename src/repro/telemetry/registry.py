@@ -5,10 +5,13 @@ dot-separated paths (``"dmi.frames_sent"``, ``"buffer.cache.hits"``); the
 registry is flat internally but :meth:`tree` folds the namespace back into
 nested dicts for humans.
 
-Components never allocate metrics eagerly — they call ``counter(name)`` /
-``gauge(name)`` / ``histogram(name)`` through an active
-:class:`~repro.telemetry.session.TraceSession`, which creates on first use.
-Registering the *same* name as two different kinds is a bug and is
+Counts reach the registry two ways.  A count a component keeps anyway
+is *pulled*: the component's :class:`~repro.telemetry.probe.Counts`
+object registers here when it is built under a session
+(:meth:`add_counts`), and :meth:`snapshot` adds each of its fields under
+its metric name.  Every other metric is *pushed* through the active
+:class:`~repro.telemetry.session.TraceSession`, which creates it on first
+use.  Registering the *same* name as two different kinds is a bug and is
 rejected, as is explicitly re-registering an existing name.
 """
 
@@ -25,6 +28,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
+        #: pulled sources: components' counts objects, never the components
+        self._counts: list = []
 
     # -- registration -------------------------------------------------------
 
@@ -36,6 +41,11 @@ class MetricsRegistry:
             raise TelemetryError(f"metric {metric.name!r} already registered")
         self._metrics[metric.name] = metric
         return metric
+
+    def add_counts(self, counts) -> None:
+        """Read ``counts`` (its ``METRICS`` map field to metric name, as a
+        :class:`~repro.telemetry.probe.Counts`' do) in every snapshot."""
+        self._counts.append(counts)
 
     def _get_or_create(self, name: str, cls: Type[Metric]) -> Metric:
         metric = self._metrics.get(name)
@@ -49,6 +59,8 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str) -> Counter:
+        """The pushed counter ``name``, created at 0 on first use (for a
+        pulled name, snapshots add the pulled total to it)."""
         return self._get_or_create(name, Counter)  # type: ignore[return-value]
 
     def gauge(self, name: str) -> Gauge:
@@ -78,11 +90,23 @@ class MetricsRegistry:
 
         Histograms expand into ``name.count`` / ``name.mean`` / ``name.min``
         / ``name.max`` / ``name.p50`` / ``name.p95`` / ``name.p99``; gauges
-        into ``name`` and ``name.high_water``.
+        into ``name`` and ``name.high_water``.  A pulled name reports the
+        sum of its fields over every registered counts object, plus any
+        pushed count of the same name; it appears when that sum is
+        nonzero or the name is registered (the session's core counters).
         """
+        pulled: Dict[str, int] = {}
+        for counts in self._counts:
+            for field, name in counts.METRICS.items():
+                pulled[name] = pulled.get(name, 0) + getattr(counts, field)
+        names = set(self._metrics)
+        names.update(name for name, value in pulled.items() if value)
         out: Dict[str, float] = {}
-        for name in sorted(self._metrics):
-            self._metrics[name].snapshot_into(out, name)
+        for name in sorted(names):
+            if name in self._metrics:
+                self._metrics[name].snapshot_into(out, name)
+            if name in pulled:
+                out[name] = out.get(name, 0) + pulled[name]
         return out
 
     @staticmethod
@@ -134,7 +158,8 @@ class MetricsRegistry:
         return dict(sorted(merged.items()))
 
     def reset(self) -> None:
-        """Zero every registered metric (registrations survive)."""
+        """Zero every pushed metric (registrations survive); pulled counts
+        belong to their components and keep their values."""
         for metric in self._metrics.values():
             metric.reset()
 

@@ -9,11 +9,14 @@ is active (it is a context manager), instrumented components emit:
 * **instants** — point events (a replay trigger, a CRC drop, a write-cache
   stall);
 * **metrics** — named counters/gauges/histograms in the session's
-  :class:`~repro.telemetry.registry.MetricsRegistry`.
+  :class:`~repro.telemetry.registry.MetricsRegistry`.  Counts that a
+  component keeps anyway are not pushed: the component's
+  :class:`~repro.telemetry.probe.Counts` object joins the session it is
+  built in, and snapshots read it in place.
 
 A session stores at most ``max_events`` spans and instants; past the cap
-each one is only counted, inline, so a dropped span costs the one call
-that emitted it (campaign workers run ``max_events=0``).
+each one is only counted, with one increment, so a dropped span costs the
+one call that emitted it (campaign workers run ``max_events=0``).
 
 Nothing here touches the simulator: call sites pass ``sim.now_ps``
 explicitly, which keeps this package import-safe from every layer
@@ -31,8 +34,6 @@ from typing import Dict, List, Optional
 from . import probe
 from .artifact import snapshot_record, write_jsonl
 from .attribution import (
-    DEFAULT_MAX_JOURNEYS,
-    DEFAULT_OCCUPANCY_PERIOD_PS,
     JourneyTracker,
     LatencyBreakdown,
     OccupancySampler,
@@ -50,6 +51,7 @@ DEFAULT_MAX_EVENTS = 2_000_000
 
 #: counters pre-registered at zero in every session so artifact snapshots
 #: have a stable core schema regardless of which paths a run exercises
+#: (most are pulled: snapshots add the components' counts to these zeros)
 CORE_COUNTERS = (
     "kernel.events",
     "dmi.frames_sent",
@@ -73,6 +75,22 @@ class TraceEvent:
     args: Optional[dict] = None
 
 
+class SessionCounts:
+    """Spans and instants a session dropped past ``max_events``, and the
+    occupancy samples it took.  Read by its own registry only (a
+    :class:`~repro.telemetry.probe.Counts` would also join any session
+    active when this one was made)."""
+
+    METRICS = {
+        "dropped_events": "telemetry.dropped_events",
+        "occupancy_samples": "occupancy.samples",
+    }
+
+    def __init__(self) -> None:
+        self.dropped_events = 0
+        self.occupancy_samples = 0
+
+
 class TraceSession:
     """Context-managed telemetry collection for one run."""
 
@@ -81,38 +99,27 @@ class TraceSession:
         name: str = "trace",
         kernel_events: bool = False,
         max_events: int = DEFAULT_MAX_EVENTS,
-        registry: Optional[MetricsRegistry] = None,
-        journeys: bool = True,
-        max_journeys: int = DEFAULT_MAX_JOURNEYS,
-        occupancy_period_ps: Optional[int] = DEFAULT_OCCUPANCY_PERIOD_PS,
     ):
         self.name = name
         #: when True, the simulator kernel emits one instant per dispatched
         #: event — enormous traces, useful only for microscopic debugging
         self.kernel_events = kernel_events
         self.max_events = max_events
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         for core in CORE_COUNTERS:
             self.registry.counter(core)
-        # An over-cap span or instant is counted inline in two places:
-        # locally for the exporter's truncation marker, and in the registry
-        # so the loss survives into snapshots (and campaign merges).  Bound
-        # once: span-capped sessions (campaign workers run max_events=0)
-        # drop EVERY span.
-        self._dropped_counter = self.registry.counter("telemetry.dropped_events")
         self.events: List[TraceEvent] = []
-        self.dropped_events = 0
+        # span-capped sessions (campaign workers run max_events=0) drop
+        # EVERY span: one increment each
+        self.counts = SessionCounts()
+        self.registry.add_counts(self.counts)
         self.snapshots: List[dict] = []
-        #: request-journey tracker (None when attribution is disabled);
-        #: journeys are metric-like — small, bounded — so they stay on even
-        #: for span-capped sessions (the campaign workers run max_events=0)
-        self.journeys: Optional[JourneyTracker] = (
-            JourneyTracker(max_journeys) if journeys else None
-        )
-        #: arrival-driven queue-depth sampler (None disables sampling)
-        self.occupancy: Optional[OccupancySampler] = (
-            OccupancySampler(occupancy_period_ps) if occupancy_period_ps else None
-        )
+        #: request-journey tracker; journeys are metric-like — small,
+        #: bounded — so they stay on even for span-capped sessions (the
+        #: campaign workers run max_events=0)
+        self.journeys = JourneyTracker()
+        #: arrival-driven queue-depth sampler
+        self.occupancy = OccupancySampler()
         #: closed fault-injection windows (plain dicts: label, injector,
         #: target, start_ps, end_ps), published by FaultController.stop()
         #: so the attribution artifact and the time-bucketed resilience
@@ -145,8 +152,7 @@ class TraceSession:
     ) -> None:
         """Record a bounded span [start_ps, end_ps] in simulated time."""
         if len(self.events) >= self.max_events:
-            self.dropped_events += 1
-            self._dropped_counter.count += 1
+            self.counts.dropped_events += 1
             return
         self.events.append(
             TraceEvent("X", category, name, start_ps, max(0, end_ps - start_ps), args)
@@ -161,17 +167,17 @@ class TraceSession:
     ) -> None:
         """Record a point event at ``ts_ps``."""
         if len(self.events) >= self.max_events:
-            self.dropped_events += 1
-            self._dropped_counter.count += 1
+            self.counts.dropped_events += 1
             return
         self.events.append(TraceEvent("i", category, name, ts_ps, None, args))
 
     # -- metric shortcuts ---------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
-        # Fast path: the hot DMI/buffer counters hit this tens of thousands
-        # of times per run — skip the registry's get-or-create/type-check
-        # machinery once the counter exists.
+        # Fast path: per-call counts (buffer commands, processor commands,
+        # kernel runs) hit this thousands of times per run — skip the
+        # registry's get-or-create/type-check machinery once the counter
+        # exists.
         metric = self.registry._metrics.get(name)
         if metric is not None and metric.__class__ is Counter and n >= 0:
             metric.count += n
@@ -216,17 +222,16 @@ class TraceSession:
     def _chrome_extras(self) -> List[dict]:
         """Journey spans/flow links, plus the truncation marker when the
         event cap clipped the trace."""
-        extras: List[dict] = []
-        if self.journeys is not None:
-            extras.extend(journey_chrome_extras(self.journeys.completed))
-        if self.dropped_events:
+        extras = journey_chrome_extras(self.journeys.completed)
+        dropped = self.counts.dropped_events
+        if dropped:
             last_ps = max(
                 [e.ts_ps + (e.dur_ps or 0) for e in self.events]
                 + [x["ts_ps"] + (x.get("dur_ps") or 0) for x in extras]
                 + [0]
             )
             extras.append(
-                truncation_marker(self.dropped_events, self.max_events, last_ps)
+                truncation_marker(dropped, self.max_events, last_ps)
             )
         return extras
 
@@ -256,9 +261,7 @@ class TraceSession:
 
     def journey_records(self) -> List[dict]:
         """One ``journey`` record per completed journey, in completion
-        order (empty when attribution is off)."""
-        if self.journeys is None:
-            return []
+        order."""
         return [journey_record(j) for j in self.journeys.completed]
 
     def breakdown(self) -> LatencyBreakdown:
@@ -269,5 +272,5 @@ class TraceSession:
 
     def write_attribution(self, path: str) -> int:
         """Write the ``repro.attribution/v1`` journey artifact; returns the
-        record count (a meta record is written even with journeys off)."""
+        record count."""
         return write_jsonl(path, session_attribution_records(self))

@@ -50,7 +50,7 @@ _EXPORTS = {
     "make_searcher": ".search",
     "mark_dominated": ".pareto",
     "materialize": ".trial",
-    "objectives_of": ".trial",
+    "objectives_of": ".pareto",
     "pareto_records": ".pareto",
     "run_tune_trial": ".trial",
     "select_winner": ".pareto",

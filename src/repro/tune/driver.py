@@ -28,6 +28,7 @@ from ..campaign.runner import CampaignReport, JobOutcome
 from .pareto import (
     common_rung_objectives,
     front_keys,
+    objectives_of,
     pareto_records,
     select_winner,
     write_pareto,
@@ -35,7 +36,6 @@ from .pareto import (
 )
 from .search import TrialState, make_searcher
 from .space import TuneSpec, canonical_config
-from .trial import objectives_of
 
 
 @dataclass

@@ -41,6 +41,12 @@ from .search import TrialState
 from .space import TUNE_SCHEMA, TUNE_SCHEMA_VERSION, Objective, TuneSpec
 
 
+def objectives_of(table) -> Dict[str, float]:
+    """The metric→value mapping of a trial's result table (one row per
+    metric, as :func:`~repro.tune.trial.run_tune_trial` writes it)."""
+    return {row[0]: float(row[1]) for row in table.rows}
+
+
 def dominates(
     a: Dict[str, float], b: Dict[str, float], objectives: Sequence[Objective]
 ) -> bool:

@@ -37,7 +37,6 @@ address stream, it does not reshuffle it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -58,6 +57,7 @@ from ..storage import (
     PcieAttachedStore,
     WriteCacheConfig,
 )
+from ..telemetry import nearest_rank
 from ..units import CACHE_LINE_BYTES, GIB, MIB
 from ..workloads import GpfsJob, GpfsWriter
 from ..workloads.replay import generate, replay
@@ -149,11 +149,6 @@ def materialize(config: Dict[str, object]) -> Tuple[CardSpec, SocketConfig]:
 # -- measurement -------------------------------------------------------------
 
 
-def _percentile_ps(ordered: List[int], pct: float) -> int:
-    """Nearest-rank percentile over a pre-sorted sample list."""
-    return ordered[max(0, math.ceil(pct / 100 * len(ordered)) - 1)]
-
-
 def _metric_rows(
     latencies_ps: List[int], elapsed_ps: int, errors: int
 ) -> List[Tuple[str, float]]:
@@ -163,8 +158,8 @@ def _metric_rows(
     throughput = samples / elapsed_s if elapsed_s > 0 else 0.0
     occupancy = sum(ordered) / elapsed_ps if elapsed_ps > 0 else 0.0
     return [
-        ("p99_ns", _percentile_ps(ordered, 99) / 1_000),
-        ("p50_ns", _percentile_ps(ordered, 50) / 1_000),
+        ("p99_ns", nearest_rank(ordered, 99) / 1_000),
+        ("p50_ns", nearest_rank(ordered, 50) / 1_000),
         ("mean_ns", sum(ordered) / samples / 1_000),
         ("max_ns", ordered[-1] / 1_000),
         ("throughput_ops_s", throughput),
@@ -370,8 +365,3 @@ def run_tune_trial(
         table.add_row(metric, value)
     table.add_note(f"config: {config}; depth={depth}; seed={seed}")
     return table
-
-
-def objectives_of(table: ResultTable) -> Dict[str, float]:
-    """The metric→value mapping of a trial result table."""
-    return {row[0]: float(row[1]) for row in table.rows}

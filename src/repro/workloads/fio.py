@@ -70,8 +70,7 @@ class FioRunner:
         def submit_one() -> None:
             offset = rng.randint(0, blocks - 1) * job.block_bytes
             t0 = self.sim.now_ps
-            trace = probe.session
-            journeys = trace.journeys if trace is not None else None
+            journeys = probe.tracker()
             jid = None
             if journeys is not None:
                 jid = journeys.begin(f"fio.{job.rw}", offset, device_name, t0)

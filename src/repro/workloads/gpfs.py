@@ -60,8 +60,7 @@ class GpfsWriter:
         for _ in range(job.total_writes):
             offset = rng.randint(0, slots - 1) * job.write_bytes
             t0 = self.sim.now_ps
-            trace = probe.session
-            journeys = trace.journeys if trace is not None else None
+            journeys = probe.tracker()
             jid = None
             if journeys is not None:
                 jid = journeys.begin("gpfs.write", offset, store_name, t0)

@@ -20,13 +20,13 @@ class TestLookupFill:
     def test_cold_miss(self):
         cache = small_cache()
         assert cache.lookup(0) is None
-        assert cache.misses == 1
+        assert cache.counts.misses == 1
 
     def test_fill_then_hit(self):
         cache = small_cache()
         cache.fill(0, line(1))
         assert cache.lookup(0) == line(1)
-        assert cache.hits == 1
+        assert cache.counts.hits == 1
 
     def test_different_offsets_same_line(self):
         cache = small_cache()
@@ -63,7 +63,7 @@ class TestEviction:
         cache.fill(0, line(7), dirty=True)
         victim = cache.fill(CACHE_LINE_BYTES, line(1))
         assert victim == (0, line(7))
-        assert cache.writebacks == 1
+        assert cache.counts.writebacks == 1
 
     def test_victim_address_reconstruction(self):
         cache = small_cache(ways=1, sets=4)

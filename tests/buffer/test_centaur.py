@@ -56,7 +56,7 @@ class TestBasicOps:
         centaur = make_centaur(sim, config=CentaurConfig(cache_enabled=False))
         for i in range(8):
             run_command(sim, centaur, Command(Opcode.WRITE, 128 * i, i, bytes([i] * 128)))
-        writes = [port.writes_submitted for port in centaur.ports]
+        writes = [port.counts.writes_submitted for port in centaur.ports]
         assert writes == [2, 2, 2, 2]
 
     def test_capacity_sums_ports(self):
@@ -86,7 +86,7 @@ class TestCacheBehaviour:
         t0 = sim.now_ps
         run_command(sim, centaur, Command(Opcode.READ, 0x4000, 1))
         hit_latency = sim.now_ps - t0
-        assert centaur.cache.hits >= 1
+        assert centaur.cache.counts.hits >= 1
         # hit path: pipeline + cache_hit + response only
         expected = (
             centaur.config.pipeline_ps

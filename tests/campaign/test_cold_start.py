@@ -4,8 +4,10 @@ A job imports only the code its experiment runs: the worker module loads
 no experiment code, a ``table3`` job never loads numpy or the
 accelerator, fault, service, tuner or report packages, a ``table5`` job
 never loads the system stack, and the package roots resolve their public
-names on first access.  The CLIs that only read artifacts or launch a
-campaign stay within a module budget before they parse ``--help``.  Each
+names on first access.  The CLIs stay within a module budget before
+they parse ``--help``: those that only read artifacts or launch a
+campaign load no experiment code, and the service and tuner CLIs leave
+the simulated system to their jobs.  Each
 check runs in a fresh interpreter, because one test's imports would hide
 another's.
 """
@@ -71,8 +73,20 @@ def test_table5_job_still_runs():
     assert packages_in(modules, unused) == set()
 
 
-#: most ``repro`` modules each CLI may load before it parses ``--help``
-CLI_BUDGETS = {"run_campaign.py": 35, "diff_artifacts.py": 20, "analyze_latency.py": 45}
+#: packages a CLI that only reads artifacts or launches a campaign must not load
+NO_EXPERIMENTS = ["repro.tune", "repro.service", "repro.core.experiment"]
+#: the simulated system, which the service and tuner CLIs leave to their jobs
+NO_SYSTEM = ["repro.core.system", "repro.storage", "repro.workloads", "repro.faults"]
+
+#: most ``repro`` modules each CLI may load before it parses ``--help``,
+#: and the packages it must not load at all
+CLI_BUDGETS = {
+    "run_campaign.py": (35, NO_EXPERIMENTS),
+    "diff_artifacts.py": (20, NO_EXPERIMENTS),
+    "analyze_latency.py": (45, NO_EXPERIMENTS),
+    "run_service.py": (40, NO_SYSTEM),
+    "run_tune.py": (80, NO_SYSTEM),
+}
 
 
 @pytest.mark.parametrize("script", sorted(CLI_BUDGETS))
@@ -84,8 +98,8 @@ def test_cli_help_stays_within_its_module_budget(script):
         f"    runpy.run_path({str(REPO / 'scripts' / script)!r}, run_name='__main__')"
     )
     loaded = {m for m in modules if m.startswith("repro")}
-    assert len(loaded) <= CLI_BUDGETS[script], sorted(loaded)
-    unused = ["repro.tune", "repro.service", "repro.core.experiment"]
+    budget, unused = CLI_BUDGETS[script]
+    assert len(loaded) <= budget, sorted(loaded)
     assert packages_in(loaded, unused) == set()
 
 
@@ -116,8 +130,9 @@ def test_lazy_exports_resolve():
     # every name of the lazy package roots resolves, so their name maps
     # cannot drift from ``__all__``; ``from <root> import *`` walks them too
     loaded_after(
-        "import repro, repro.campaign, repro.core, repro.report, repro.tune\n"
-        "for pkg in (repro, repro.campaign, repro.core, repro.report, repro.tune):\n"
+        "import repro, repro.campaign, repro.core, repro.report, repro.service, repro.tune\n"
+        "for pkg in (repro, repro.campaign, repro.core, repro.report, repro.service,\n"
+        "            repro.tune):\n"
         "    missing = [n for n in pkg.__all__ if not hasattr(pkg, n)]\n"
         "    assert not missing, (pkg.__name__, missing)\n"
         "    assert set(pkg.__all__) <= set(dir(pkg)), pkg.__name__\n"
@@ -125,6 +140,7 @@ def test_lazy_exports_resolve():
         "from repro.campaign import *\n"
         "from repro.core import *\n"
         "from repro.report import *\n"
+        "from repro.service import *\n"
         "from repro.tune import *\n"
         "assert ContuttoSystem and run_table5 and CampaignRunner and execute_job\n"
         "assert calibration.__name__ == 'repro.core.calibration'\n"

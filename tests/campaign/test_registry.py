@@ -3,7 +3,8 @@
 A campaign job calls ``spec.runner(**kwargs, seed=...)``, so a default
 the runner no longer accepts, or a fault plan threaded into a runner
 without a ``faults`` parameter, fails only at job time.  These checks
-catch both at collection instead.
+catch both at collection instead, and check that the CLIs' ``--samples``
+lands on the knob each spec names as its size.
 """
 
 import inspect
@@ -29,3 +30,15 @@ class TestRegistrySpec:
 
     def test_supports_faults_matches_the_runner(self, spec):
         assert spec.supports_faults == ("faults" in params(spec))
+
+    def test_size_knob_names_an_int_default(self, spec):
+        if spec.size_knob is not None:
+            assert type(spec.defaults[spec.size_knob]) is int
+
+
+def test_samples_lands_on_the_size_knob():
+    # tiered_replay's first default is its policy, not its size
+    from repro.campaign import run_experiment
+
+    _, (table,) = run_experiment("tiered_replay", samples=4, max_events=0)
+    assert table.rows[0][:3] == ["clock", "graph", 4]

@@ -123,7 +123,7 @@ class TestCleanChannel:
         ]
         for sig in signals:
             sim.run_until_signal(sig)
-        assert channel.host.commands_completed == 16
+        assert channel.host.counts.commands_completed == 16
 
     def test_duplicate_tag_rejected(self):
         sim = Simulator()
@@ -141,8 +141,8 @@ class TestCleanChannel:
             sim.run_until_signal(
                 channel.host.issue(Command(Opcode.WRITE, 128 * t, t, bytes(128)))
             )
-        assert channel.host_endpoint.replays_triggered == 0
-        assert channel.buffer_endpoint.replays_triggered == 0
+        assert channel.host_endpoint.counts.replays_triggered == 0
+        assert channel.buffer_endpoint.counts.replays_triggered == 0
 
 
 class TestErrorRecovery:
@@ -175,8 +175,8 @@ class TestErrorRecovery:
                 timeout_ps=10**10,
             )
         replays = (
-            channel.host_endpoint.replays_triggered
-            + channel.buffer_endpoint.replays_triggered
+            channel.host_endpoint.counts.replays_triggered
+            + channel.buffer_endpoint.counts.replays_triggered
         )
         assert replays > 0
 
@@ -190,7 +190,7 @@ class TestErrorRecovery:
                     channel.host.issue(Command(Opcode.WRITE, 128 * i, i, bytes(128))),
                     timeout_ps=10**10,
                 )
-            return (sim.now_ps, channel.host_endpoint.replays_triggered)
+            return (sim.now_ps, channel.host_endpoint.counts.replays_triggered)
 
         assert run(9) == run(9)
 
@@ -227,8 +227,8 @@ class TestFreezeWorkaround:
                 timeout_ps=10**10,
             )
         assert channel.operational
-        if channel.buffer_endpoint.replays_triggered:
-            assert channel.buffer_endpoint.freeze_frames_sent > 0
+        if channel.buffer_endpoint.counts.replays_triggered:
+            assert channel.buffer_endpoint.counts.freeze_frames_sent > 0
 
     def test_fast_replay_needs_no_freeze(self):
         sim = Simulator()

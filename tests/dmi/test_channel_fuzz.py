@@ -72,7 +72,7 @@ class TestChannelFuzz:
 
         assert channel.operational
         assert channel.host.in_flight == 0
-        assert channel.host.commands_issued == channel.host.commands_completed
+        assert channel.host.counts.commands_issued == channel.host.counts.commands_completed
 
     def test_stale_ack_wrap_regression(self):
         """Regression: replayed frames must refresh their piggybacked ACK.
@@ -102,7 +102,7 @@ class TestChannelFuzz:
             for sig in signals:
                 sim.run_until_signal(sig, timeout_ps=10**12)
         assert channel.operational
-        assert channel.host.commands_completed == 128
+        assert channel.host.counts.commands_completed == 128
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=10, deadline=None)
@@ -126,4 +126,4 @@ class TestChannelFuzz:
             for sig in signals:
                 sim.run_until_signal(sig, timeout_ps=10**12)
         assert channel.operational
-        assert channel.host.commands_completed == 96
+        assert channel.host.counts.commands_completed == 96

@@ -45,14 +45,14 @@ class TestIdleAckBehaviour:
         sim.run_until_signal(channel.host.issue(Command(Opcode.READ, 0, 1)))
         sim.run()
         buffer_ep = channel.buffer_endpoint
-        accepted_before = buffer_ep.frames_accepted
-        dups_before = buffer_ep.duplicates_seen
+        accepted_before = buffer_ep.counts.frames_accepted
+        dups_before = buffer_ep.counts.duplicates_seen
         # force the host to send a pure idle ACK now
         channel.host_endpoint._note_ack_owed()
         sim.run()
         # the idle frame must be classified as a duplicate, never as new
-        assert buffer_ep.frames_accepted == accepted_before
-        assert buffer_ep.duplicates_seen >= dups_before
+        assert buffer_ep.counts.frames_accepted == accepted_before
+        assert buffer_ep.counts.duplicates_seen >= dups_before
 
     def test_idle_acks_rate_limited(self):
         sim = Simulator()
@@ -60,11 +60,11 @@ class TestIdleAckBehaviour:
         sim.run_until_signal(channel.host.issue(Command(Opcode.READ, 0, 1)))
         sim.run()
         ep = channel.host_endpoint
-        sent_before = ep.tx_link.frames_sent
+        sent_before = ep.tx_link.counts.frames_sent
         for _ in range(10):
             ep._note_ack_owed()  # storm of ack-owed notes coalesces
         sim.run()
-        assert ep.tx_link.frames_sent - sent_before <= 2
+        assert ep.tx_link.counts.frames_sent - sent_before <= 2
 
 
 class TestRepack:
@@ -113,19 +113,19 @@ class TestEndpointStatsExposure:
     def test_frames_accepted_counts_only_payload_frames(self):
         sim = Simulator()
         channel = quiet_channel(sim)
-        before = channel.buffer_endpoint.frames_accepted
+        before = channel.buffer_endpoint.counts.frames_accepted
         sim.run_until_signal(
             channel.host.issue(Command(Opcode.WRITE, 0, 2, bytes(128)))
         )
         sim.run()
         # a 128B write is exactly 8 downstream frames
-        assert channel.buffer_endpoint.frames_accepted - before == 8
+        assert channel.buffer_endpoint.counts.frames_accepted - before == 8
 
     def test_read_response_is_four_data_frames_plus_done(self):
         sim = Simulator()
         channel = quiet_channel(sim)
-        before = channel.host_endpoint.frames_accepted
+        before = channel.host_endpoint.counts.frames_accepted
         sim.run_until_signal(channel.host.issue(Command(Opcode.READ, 0, 3)))
         sim.run()
         # 4 chunks, done riding in the final one
-        assert channel.host_endpoint.frames_accepted - before == 4
+        assert channel.host_endpoint.counts.frames_accepted - before == 4

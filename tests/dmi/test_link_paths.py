@@ -39,10 +39,12 @@ def counters(channel):
     links = (channel.down_link, channel.up_link)
     endpoints = (channel.host_endpoint, channel.buffer_endpoint)
     return (
-        [(link.frames_sent, link.frames_corrupted, link.busy_ps) for link in links],
+        [(link.counts.frames_sent, link.counts.frames_corrupted, link.busy_ps)
+         for link in links],
         [
-            (ep.frames_accepted, ep.crc_drops, ep.seq_drops, ep.duplicates_seen,
-             ep.replays_triggered, ep.ack_timeouts, ep.freeze_frames_sent)
+            (ep.counts.frames_accepted, ep.crc_drops, ep.counts.seq_drops,
+             ep.counts.duplicates_seen, ep.counts.replays_triggered,
+             ep.counts.ack_timeouts, ep.counts.freeze_frames_sent)
             for ep in endpoints
         ],
     )

@@ -77,7 +77,7 @@ class TestReplayLimitExhaustion:
         assert host.failed
         assert isinstance(host.failure, ReplayError)
         # the final trigger crosses the limit and fails the channel
-        assert host.replays_triggered == host.config.replay_limit + 1
+        assert host.counts.replays_triggered == host.config.replay_limit + 1
 
     def test_send_after_failure_raises_replay_error(self):
         sim = Simulator()
@@ -144,7 +144,7 @@ class TestReplayBufferBackpressure:
         for signal in signals:
             sim.run_until_signal(signal, timeout_ps=10**10)
         assert store == payloads
-        assert host.replays_triggered > 0   # the stall went through replay
+        assert host.counts.replays_triggered > 0   # the stall went through replay
 
 
 class TestDmiMetricCounters:
@@ -158,7 +158,7 @@ class TestDmiMetricCounters:
             sim.run()
         snapshot = session.registry.snapshot()
         assert snapshot["dmi.crc_drops"] > 0
-        assert snapshot["dmi.replays"] == channel.host_endpoint.replays_triggered
+        assert snapshot["dmi.replays"] == channel.host_endpoint.counts.replays_triggered
         assert snapshot["dmi.ack_timeouts"] > 0
         assert snapshot["dmi.channel_failed"] == 1
 

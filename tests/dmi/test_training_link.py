@@ -74,7 +74,7 @@ class TestSerialLink:
         sim.run()
         assert seen[0] != sent.pack()
         assert len(seen[0]) == sent.packed_len()
-        assert link.frames_corrupted == 1
+        assert link.counts.frames_corrupted == 1
 
     def test_unconnected_send_raises(self):
         sim = Simulator()
@@ -116,7 +116,7 @@ class TestKeystreamCarry:
         packed = first.pack()
         assert seen[0] == bytes([packed[0] ^ 1]) + packed[1:]  # the injected flip
         assert seen[1] is second  # next frame is clean again
-        assert link.frames_corrupted == 1
+        assert link.counts.frames_corrupted == 1
 
     def test_resync_with_frames_in_flight_desyncs_receiver(self):
         sim = Simulator()
@@ -130,7 +130,7 @@ class TestKeystreamCarry:
         sim.run()
         assert seen[0] != first.pack()
         assert seen[1] != second.pack()
-        assert link.frames_corrupted == 2
+        assert link.counts.frames_corrupted == 2
         # Exactly the garbage of real hardware: the in-flight frame left
         # unscrambled (its keystream was skipped), then met the freshly
         # reset receive LFSR; the next one was scrambled by the fresh
@@ -152,7 +152,7 @@ class TestKeystreamCarry:
         link.send(last)
         sim.run()
         assert seen[-1] == last.pack()
-        assert link.frames_corrupted == 1
+        assert link.counts.frames_corrupted == 1
 
 
 class TestTraining:

@@ -52,8 +52,8 @@ class TestDeviceFaultPaths:
         ssd.io_fault = IoFaultModel(force_failures=1, max_retries=2)
         value = sim.run_until_signal(ssd.submit_read(0, 4096))
         assert value is None
-        assert ssd.io_retries == 1 and ssd.io_failures == 0
-        assert ssd.reads == 1
+        assert ssd.counts.io_retries == 1 and ssd.counts.io_failures == 0
+        assert ssd.counts.reads == 1
 
     def test_exhausted_retries_surface_storage_error(self):
         sim = Simulator()
@@ -61,8 +61,8 @@ class TestDeviceFaultPaths:
         ssd.io_fault = IoFaultModel(force_failures=3, max_retries=2)
         value = sim.run_until_signal(ssd.submit_read(0, 4096))
         assert isinstance(value, StorageError)
-        assert ssd.io_failures == 1 and ssd.io_retries == 2
-        assert ssd.reads == 0  # a failed IO is not a completed read
+        assert ssd.counts.io_failures == 1 and ssd.counts.io_retries == 2
+        assert ssd.counts.reads == 0  # a failed IO is not a completed read
 
     def test_slow_disk_penalty_applies_once_per_io(self):
         sim = Simulator()
@@ -75,7 +75,7 @@ class TestDeviceFaultPaths:
         sim.run_until_signal(ssd.submit_read(0, 4096))
         slowed = sim.now_ps - t0
         assert slowed >= healthy + us_to_ps(500)
-        assert ssd.slowed_ios == 1
+        assert ssd.counts.slowed_ios == 1
 
 
 class TestStorageInjectors:
@@ -127,7 +127,7 @@ class TestStorageInjectors:
         spec = FaultSpec("storage.destage_stall", target="", label="stall")
         injector = bound(spec, sim, system)
         assert injector.inject(0) == "injected"
-        assert cache._frozen and cache.freezes == 1
+        assert cache._frozen and cache.counts.freezes == 1
         assert injector.recover(0) == "recovered"
         assert not cache._frozen
 

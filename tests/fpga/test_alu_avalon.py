@@ -110,8 +110,8 @@ class TestAvalonBus:
         bus, (mc0, mc1) = self.make_bus(sim)
         sim.run_until_signal(bus.write(0, 0x100, bytes(128)))
         sim.run_until_signal(bus.write(1, 1 * MIB + 0x100, bytes(128)))
-        assert mc0.writes_submitted == 1
-        assert mc1.writes_submitted == 1
+        assert mc0.counts.writes_submitted == 1
+        assert mc1.counts.writes_submitted == 1
 
     def test_slave_local_address_translation(self):
         sim = Simulator()

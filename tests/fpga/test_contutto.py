@@ -40,8 +40,8 @@ class TestBasicOperation:
         ct = make_contutto(sim, dimms=2)
         for i in range(6):
             run_command(sim, ct, Command(Opcode.WRITE, 128 * i, i, bytes([i] * 128)))
-        assert ct.ports[0].writes_submitted == 3
-        assert ct.ports[1].writes_submitted == 3
+        assert ct.ports[0].counts.writes_submitted == 3
+        assert ct.ports[1].counts.writes_submitted == 3
 
     def test_single_dimm_configuration(self):
         sim = Simulator()

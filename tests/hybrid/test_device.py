@@ -56,8 +56,8 @@ class TestDataIntegrity:
         t = 0
         while dev.tier_of(0) == SLOW:
             _, t = dev.read(0, PAGE, t)
-        assert dev.promotions >= 1 and dev.demotions >= 1
-        assert dev.migrated_bytes == dev.promotions * 2 * PAGE
+        assert dev.counts.promotions >= 1 and dev.counts.demotions >= 1
+        assert dev.counts.migrated_bytes == dev.counts.promotions * 2 * PAGE
         # every page — promoted, demoted victim, bystanders — reads back
         for page, expected in patterns.items():
             data, t = dev.read(page * PAGE, PAGE, t)
@@ -79,7 +79,7 @@ class TestHeatAndDecay:
         for _ in range(3):
             _, t = dev.read(0, 64, t)
         assert dev.tier_of(0) == FAST
-        assert dev.promotions == 1
+        assert dev.counts.promotions == 1
 
     def test_decayed_heat_does_not_promote(self):
         # 3 quick touches, then a 4th far beyond the epoch horizon: the
@@ -92,7 +92,7 @@ class TestHeatAndDecay:
             _, t = dev.read(0, 64, t)
         assert dev.heat(0) == 3
         dev.read(0, 64, 40 * epoch)
-        assert dev.tier_of(0) == SLOW and dev.promotions == 0
+        assert dev.tier_of(0) == SLOW and dev.counts.promotions == 0
         assert dev.heat(0) == 1  # the post-decay bump
 
     def test_hot_slow_gauge_tracks_threshold_and_decay(self):
@@ -140,8 +140,8 @@ class TestBudgetPolicy:
         t = 0
         for _ in range(4):
             _, t = dev.read(0, 64, t)
-        assert dev.promotions == 0
-        assert dev.migration_stalls > 0
+        assert dev.counts.promotions == 0
+        assert dev.counts.migration_stalls > 0
         assert dev.tier_of(0) == SLOW
 
     def test_budget_refills_each_epoch(self):
@@ -149,11 +149,11 @@ class TestBudgetPolicy:
         dev = make_tiered(policy="budget", promote_threshold=1,
                           epoch_ps=epoch, migrate_budget_bytes=2 * PAGE)
         dev.read(0, 64, 0)            # first touch promotes (budget: 1 swap)
-        assert dev.promotions == 1
+        assert dev.counts.promotions == 1
         dev.read(PAGE, 64, 1)         # same epoch: budget spent, stalls
-        assert dev.promotions == 1 and dev.migration_stalls == 1
+        assert dev.counts.promotions == 1 and dev.counts.migration_stalls == 1
         dev.read(PAGE, 64, 2 * epoch)  # next epoch: refilled
-        assert dev.promotions == 2
+        assert dev.counts.promotions == 2
 
 
 class TestMigrationFreeze:
@@ -163,7 +163,7 @@ class TestMigrationFreeze:
         dev.freeze_migration()
         _, t = dev.read(0, 64, 0)
         assert dev.tier_of(0) == SLOW
-        assert dev.migration_stalls == 1
+        assert dev.counts.migration_stalls == 1
         dev.unfreeze_migration()
         dev.read(0, 64, t)
         assert dev.tier_of(0) == FAST

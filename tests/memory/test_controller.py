@@ -75,5 +75,5 @@ class TestController:
         mc.submit_read(0, 128)
         mc.submit_write(128, bytes(128))
         sim.run()
-        assert mc.reads_submitted == 1
-        assert mc.writes_submitted == 1
+        assert mc.counts.reads_submitted == 1
+        assert mc.counts.writes_submitted == 1

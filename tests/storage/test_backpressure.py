@@ -64,11 +64,11 @@ class TestStrictAdmission:
 
     def test_stall_storm_never_overfills_log(self):
         cache, config, _ = self._storm()
-        assert cache.stalls > 0  # the storm really did hit backpressure
+        assert cache.counts.stalls > 0  # the storm really did hit backpressure
         # the old bug: waking every stalled writer at once pushed staged
         # bytes past the log capacity
         assert cache.max_occupancy_bytes <= config.segment_bytes * config.segments
-        assert cache.writes_staged == 24
+        assert cache.counts.writes_staged == 24
 
     def test_stalled_writers_acknowledged_fifo(self):
         _, _, acks = self._storm()
@@ -87,11 +87,11 @@ class TestStrictAdmission:
         signals = [cache.write(i * 4096, 4096) for i in range(8)]
         for sig in signals[:4]:  # the log holds 2 full segments + cursor
             sim.run_until_signal(sig, timeout_ps=10**12)
-        assert cache.destages == 0 and cache.stalls > 0
+        assert cache.counts.destages == 0 and cache.counts.stalls > 0
         sim.call_after(us_to_ps(50), cache.unfreeze_destage)
         for sig in signals:
             sim.run_until_signal(sig, timeout_ps=10**14)
-        assert cache.destages > 0 and cache.writes_staged == 8
+        assert cache.counts.destages > 0 and cache.counts.writes_staged == 8
         assert cache.max_occupancy_bytes <= config.segment_bytes * config.segments
 
 
@@ -112,8 +112,8 @@ class TestWrapSplit:
             sim.run_until_signal(cache.write(i * nbytes, nbytes),
                                  timeout_ps=10**12)
         sim.run()
-        assert cache.wrap_splits == 1
-        assert cache.writes_staged == 6
+        assert cache.counts.wrap_splits == 1
+        assert cache.counts.writes_staged == 6
         # the split halves stay inside the log and preserve the byte count
         assert sum(n for _, n in log.writes) == 6 * nbytes
         assert log.writes[-2:] == [(30720, 2048), (0, 4096)]
@@ -133,7 +133,7 @@ class TestWrapSplit:
         sim.run_until_signal(cache.write(6 * 6144, 6144), timeout_ps=10**12)
         # both log IOs run concurrently; the ack pays one full log write
         assert sim.now_ps - t0 >= us_to_ps(2)
-        assert cache.wrap_splits == 1
+        assert cache.counts.wrap_splits == 1
 
 
 class TestConfigValidation:
@@ -166,8 +166,8 @@ class TestTable4Invariance:
             WriteCacheConfig(segment_bytes=4 * MIB, segments=16),
         )
         result = GpfsWriter(sim).run(cache, GpfsJob(total_writes=24, seed=99))
-        assert cache.stalls == 0
-        assert cache.wrap_splits == 0
-        assert cache.destages == 0
+        assert cache.counts.stalls == 0
+        assert cache.counts.wrap_splits == 0
+        assert cache.counts.destages == 0
         assert result.errors == 0
-        assert cache.writes_staged == 24
+        assert cache.counts.writes_staged == 24

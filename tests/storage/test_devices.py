@@ -161,10 +161,10 @@ class TestWriteCache:
         for i in range(32):  # 128 KiB staged -> 2 segments
             sim.run_until_signal(cache.write((i * 977) % (1 * GIB // 4096) * 4096, 4096))
         sim.run()
-        assert cache.destages >= 1
+        assert cache.counts.destages >= 1
         # each destage is one 64K disk write, not 16 random 4K writes
-        assert hdd.writes == cache.destages
-        assert hdd.bytes_written == cache.destages * 64 * 1024
+        assert hdd.counts.writes == cache.counts.destages
+        assert hdd.counts.bytes_written == cache.counts.destages * 64 * 1024
 
     def test_log_overflow_stalls_writers(self):
         sim = Simulator()
@@ -175,7 +175,7 @@ class TestWriteCache:
         signals = [cache.write(i * 4096, 4096) for i in range(24)]
         for sig in signals:
             sim.run_until_signal(sig, timeout_ps=10**14)
-        assert cache.stalls > 0
+        assert cache.counts.stalls > 0
 
     def test_log_must_fit_device(self):
         sim = Simulator()

@@ -61,8 +61,8 @@ class TestPmemRegion:
         blk = PmemBlockDevice(mram_system.pmem_region())
         mram_system.sim.run_until_signal(blk.submit_write(0, 4096), timeout_ps=10**12)
         mram_system.sim.run_until_signal(blk.submit_read(0, 4096), timeout_ps=10**12)
-        assert blk.writes == 1
-        assert blk.reads == 1
+        assert blk.counts.writes == 1
+        assert blk.counts.reads == 1
 
     def test_block_device_persists_by_default(self, mram_system):
         pmem = mram_system.pmem_region()

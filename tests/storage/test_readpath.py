@@ -68,7 +68,7 @@ class TestHitAndMiss:
         cache, log, disk = small_cache(sim)
         run(sim, cache.write(4096, 4096))
         run(sim, cache.read(4096, 4096))
-        assert cache.read_hits == 1 and cache.read_misses == 0
+        assert cache.counts.read_hits == 1 and cache.counts.read_misses == 0
         assert log.reads == [(0, 4096, "wcache.read_hit")]
         assert disk.reads == []
 
@@ -77,7 +77,7 @@ class TestHitAndMiss:
         cache, log, _ = small_cache(sim)
         run(sim, cache.write(4096, 4096))
         run(sim, cache.read(4096 + 512, 1024))
-        assert cache.read_hits == 1
+        assert cache.counts.read_hits == 1
         assert log.reads == [(512, 1024, "wcache.read_hit")]
 
     def test_unstaged_read_misses_to_the_backing_disk(self):
@@ -85,7 +85,7 @@ class TestHitAndMiss:
         cache, log, disk = small_cache(sim)
         run(sim, cache.write(0, 4096))
         run(sim, cache.read(1 * MIB, 4096))
-        assert cache.read_misses == 1 and cache.read_hits == 0
+        assert cache.counts.read_misses == 1 and cache.counts.read_hits == 0
         assert disk.reads == [(1 * MIB, 4096, "wcache.read_miss")]
         assert log.reads == []
 
@@ -97,7 +97,7 @@ class TestHitAndMiss:
         run(sim, cache.write(0, 4096))
         run(sim, cache.write(4096, 4096))
         run(sim, cache.read(2048, 4096))
-        assert cache.read_misses == 1
+        assert cache.counts.read_misses == 1
         assert disk.reads[0][:2] == (2048, 4096)
 
     def test_rewrite_hits_the_newest_staged_copy(self):
@@ -116,12 +116,12 @@ class TestRetireAndWrap:
         for i in range(3):  # fills 1.5 segments -> one destage (8 KiB)
             run(sim, cache.write(i * 4096, 4096))
         sim.run()
-        assert cache.destages >= 1
+        assert cache.counts.destages >= 1
         run(sim, cache.read(0, 4096))       # oldest extent: retired
-        assert cache.read_misses == 1
+        assert cache.counts.read_misses == 1
         assert disk.reads[-1][:2] == (0, 4096)
         run(sim, cache.read(2 * 4096, 4096))  # newest: still resident
-        assert cache.read_hits == 1
+        assert cache.counts.read_hits == 1
 
     def test_partially_retired_head_extent_still_hits_its_tail(self):
         sim = Simulator()
@@ -130,9 +130,9 @@ class TestRetireAndWrap:
         # destage retires the first 8 KiB of it, leaving a 4 KiB tail
         run(sim, cache.write(0, 12 * 1024))
         sim.run()
-        assert cache.destages == 1
+        assert cache.counts.destages == 1
         run(sim, cache.read(8 * 1024, 4096))
-        assert cache.read_hits == 1
+        assert cache.counts.read_hits == 1
         assert log.reads == [(8 * 1024, 4096, "wcache.read_hit")]
 
     def test_wrapped_staged_copy_is_read_in_two_parts(self):
@@ -141,9 +141,9 @@ class TestRetireAndWrap:
         nbytes = 6144
         for i in range(6):  # the 6th write wraps the log end
             run(sim, cache.write(i * nbytes, nbytes))
-        assert cache.wrap_splits == 1
+        assert cache.counts.wrap_splits == 1
         run(sim, cache.read(5 * nbytes, nbytes))
-        assert cache.read_hits == 1
+        assert cache.counts.read_hits == 1
         assert log.reads == [(30720, 2048, "wcache.read_hit"),
                              (0, 4096, "wcache.read_hit")]
 
@@ -177,7 +177,7 @@ class TestReadAttribution:
             b.add_records(
                 journey_record(j) for j in session.journeys.completed
             )
-        assert cache.read_hits == 1 and cache.read_misses == 1
+        assert cache.counts.read_hits == 1 and cache.counts.read_misses == 1
         assert b.check() == []
         stages = b.stages("gpfs:read")
         assert "wcache.read_hit" in stages

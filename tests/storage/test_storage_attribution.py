@@ -93,7 +93,7 @@ class TestGpfsWriteCacheAttribution:
 
     def test_zero_residual_and_full_decomposition(self):
         cache, _, b = self._run()
-        assert cache.stalls > 0  # the tiny geometry really backpressured
+        assert cache.counts.stalls > 0  # the tiny geometry really backpressured
         assert b.check() == []
         stages = b.stages("gpfs:wcache")
         for stage in ("gpfs.software", "wcache.admit", "storage.driver",

@@ -210,15 +210,6 @@ class TestArtifact:
         assert breakdown.end_to_end("t3")["mean"] == 1000
         assert breakdown.check() == []
 
-    def test_disabled_journeys_still_write_meta(self, tmp_path):
-        with TraceSession("off", journeys=False) as session:
-            pass
-        path = tmp_path / "attribution.jsonl"
-        assert session.write_attribution(path) == 1
-        records = read_attribution(path)
-        assert records[0]["kind"] == "meta"
-        assert records[0]["enabled"] is False
-
     def test_merge_is_order_insensitive(self):
         def source(label, scenario, start):
             tracker = JourneyTracker()
@@ -292,7 +283,7 @@ class TestOccupancySampler:
             assert sampler.maybe_sample(session, 0)
             assert not sampler.maybe_sample(session, 50)    # inside period
             assert sampler.maybe_sample(session, 100)
-            assert sampler.samples_taken == 2
+            assert session.counts.occupancy_samples == 2
         snap = session.snapshots[-1]["metrics"]
         assert snap["occupancy.samples"] == 2
         assert snap["occupancy.q.count"] == 2
@@ -302,7 +293,7 @@ class TestOccupancySampler:
         with TraceSession("t") as session:
             sampler = OccupancySampler(period_ps=100)
             assert not sampler.maybe_sample(session, 0)
-        assert sampler.samples_taken == 0
+        assert session.counts.occupancy_samples == 0
 
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
@@ -312,6 +303,3 @@ class TestOccupancySampler:
         with TraceSession("t") as session:
             assert session.journeys is not None
             assert session.occupancy is not None
-        with TraceSession("t", journeys=False, occupancy_period_ps=None) as off:
-            assert off.journeys is None
-            assert off.occupancy is None

@@ -62,7 +62,7 @@ class TestEventCapture:
             for i in range(5):
                 s.instant("dmi", f"e{i}", i)
         assert len(s.events) == 2
-        assert s.dropped_events == 3
+        assert s.counts.dropped_events == 3
 
 
 class TestTruncation:
@@ -77,7 +77,7 @@ class TestTruncation:
             s.instant("dmi", "dropped2", 30)
         snap = s.snapshots[-1]["metrics"]
         assert snap["telemetry.dropped_events"] == 2
-        assert s.dropped_events == 2
+        assert s.counts.dropped_events == 2
 
     def test_dropped_events_counter_preseeded_at_zero(self):
         with TraceSession("t") as s:

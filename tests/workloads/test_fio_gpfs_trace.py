@@ -46,8 +46,8 @@ class TestFio:
         sim = Simulator()
         store = PcieAttachedStore(sim, 1 * GIB, NVRAM_PCIE)
         result = FioRunner(sim).run(store, FioJob(rw="randwrite", total_ios=8))
-        assert store.writes == 8
-        assert store.reads == 0
+        assert store.counts.writes == 8
+        assert store.counts.reads == 0
         assert 20 <= result.mean_latency_us <= 30  # NVRAM write ~25 us
 
     def test_p99_at_least_mean(self):
@@ -94,7 +94,7 @@ class TestGpfs:
 
         result = GpfsWriter(sim).run(Store(), GpfsJob(total_writes=12))
         assert result.total_writes == 12
-        assert ssd.writes == 12
+        assert ssd.counts.writes == 12
 
 
 class TestTraces:

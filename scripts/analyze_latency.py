@@ -40,7 +40,7 @@ from repro.core.results import ResultTable
 from repro.errors import ArtifactError
 from repro.memory import DdrDram
 from repro.report import load_journeys, resolve_artifact
-from repro.telemetry import LatencyBreakdown
+from repro.telemetry import LatencyBreakdown, nearest_rank
 
 
 def pick_baseline(scenarios, requested=None) -> str:
@@ -104,11 +104,6 @@ def fault_table(breakdown: LatencyBreakdown, scenario: str) -> ResultTable:
     return table
 
 
-def _nearest_rank(ordered, pct: float):
-    """Nearest-rank percentile over a pre-sorted list (repo convention)."""
-    return ordered[max(0, math.ceil(pct / 100 * len(ordered)) - 1)]
-
-
 def dmi_journeys(journeys, scenario: str) -> list:
     """Completed depth-annotated journeys of one scenario.
 
@@ -143,8 +138,8 @@ def bank_table(journeys, scenario: str) -> ResultTable:
         table.add_row(
             bank, len(lat), f"{len(lat) / total:.1%}",
             sum(lat) / len(lat) / 1000,
-            _nearest_rank(lat, 95) / 1000,
-            _nearest_rank(lat, 99) / 1000,
+            nearest_rank(lat, 95) / 1000,
+            nearest_rank(lat, 99) / 1000,
             lat[-1] / 1000,
         )
     counts = [len(v) for v in by_bank.values()]
@@ -179,8 +174,8 @@ def depth_table(journeys, scenario: str) -> ResultTable:
         table.add_row(
             depth, len(lat),
             sum(lat) / len(lat) / 1000,
-            _nearest_rank(lat, 50) / 1000,
-            _nearest_rank(lat, 99) / 1000,
+            nearest_rank(lat, 50) / 1000,
+            nearest_rank(lat, 99) / 1000,
             lat[-1] / 1000,
         )
     n = len(pairs)

@@ -21,8 +21,8 @@ The output directory receives:
 * ``metrics.jsonl``   — one merged ``repro.telemetry/v1`` artifact
   (per-job snapshots + campaign totals);
 * ``attribution.jsonl`` — one merged ``repro.attribution/v1`` artifact
-  (per-job request journeys + recomputed stage summaries; render with
-  ``scripts/analyze_latency.py``).
+  (per-job request journeys and fault windows + recomputed stage
+  summaries; render with ``scripts/analyze_latency.py``).
 
 Results are served from the content-addressed cache when the same
 (experiment, kwargs, seed, code fingerprint) has already run; any source
@@ -112,8 +112,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--fold-attribution", action="store_true",
         help="merge per-worker stage summaries instead of retaining every "
-             "journey record (bounded memory for very large sweeps; folded "
-             "percentiles are weighted approximations)",
+             "journey record (bounds attribution memory for very large sweeps, "
+             "not metric samples; folded percentiles are weighted "
+             "approximations)",
     )
     parser.add_argument(
         "--verbose", action="store_true",

@@ -6,7 +6,7 @@ into individually seeded :class:`CampaignJob`s, a :class:`CampaignRunner`
 executes them across a process pool with retries, per-job timeouts, and
 a content-addressed :class:`ResultCache`, and every completion is
 journaled to a JSONL manifest so a crashed or interrupted sweep resumes
-where it stopped.  Per-worker telemetry snapshots merge into one
+where it stopped.  Every job's counts and samples pool into one
 ``repro.telemetry/v1`` artifact.
 
     from repro.campaign import CampaignRunner, ResultCache, ScenarioMatrix

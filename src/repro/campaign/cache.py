@@ -9,10 +9,13 @@ minutes of simulation is cheap.  The attribution mode is part of the
 address because ``journeys`` and ``summary`` workers do different
 telemetry work and produce different artifact payloads.
 
-An entry holds the *whole* job payload — the result (the
+An entry holds the *whole* job payload that
+:func:`~repro.campaign.worker.execute_job` returned — the result (the
 :class:`~repro.core.results.ResultTable` or tuple of tables exactly as
-the runner returned it) **plus** the metrics snapshot and attribution
-records the traced run produced.  Caching only the result would make
+the runner returned it) **plus** the metrics snapshot, the counts and
+samples the campaign's merged snapshot pools, and the attribution records
+and fault windows the traced run produced — less its wall-clock
+``duration_s``.  Caching only the result would make
 warm re-runs lose their ``metrics.jsonl``/``attribution.jsonl``
 content, and a suite ``report.json`` built from a cache hit would
 differ from the run that populated the cache — the exact drift the
@@ -92,16 +95,14 @@ class ResultCache:
         return job_key(job, self.fingerprint, mode=mode)
 
     def get(self, job: CampaignJob, mode: str = "journeys"):
-        """The cached entry dict, or None.  Corrupt entries count as misses.
+        """The cached payload, or None.  Corrupt entries count as misses.
 
-        An entry has ``result``, ``metrics``, ``attribution``, and
-        ``attribution_summaries`` keys — everything a replayed
-        :class:`JobOutcome` needs to be artifact-identical to the run
-        that populated the cache.
+        A replayed :class:`JobOutcome` holding it is artifact-identical to
+        the run that populated the cache.
         """
-        payload, _ = self._paths(self.key_for(job, mode))
+        path, _ = self._paths(self.key_for(job, mode))
         try:
-            with open(payload, "rb") as fh:
+            with open(path, "rb") as fh:
                 entry = pickle.load(fh)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
             self.misses += 1
@@ -112,27 +113,19 @@ class ResultCache:
         self.hits += 1
         return entry
 
-    def put(
-        self, job: CampaignJob, result, *,
-        metrics=None, attribution=None, attribution_summaries=None,
-        mode: str = "journeys",
-    ) -> str:
-        """Store a job's full payload; returns the content key.
+    def put(self, job: CampaignJob, payload: dict, mode: str = "journeys") -> str:
+        """Store a job's payload, less ``duration_s``; returns the content
+        key.
 
         Writes are atomic (tempfile + rename) so a crashed or parallel
         writer can never leave a half-written entry that a later
         :meth:`get` would trust.
         """
         key = self.key_for(job, mode)
-        payload, sidecar = self._paths(key)
-        payload.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "result": result,
-            "metrics": metrics or {},
-            "attribution": attribution or [],
-            "attribution_summaries": attribution_summaries or [],
-        }
-        self._atomic_write(payload, pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
+        entry = {k: v for k, v in payload.items() if k != "duration_s"}
+        path, sidecar = self._paths(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._atomic_write(path, pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
         meta = {
             "experiment": job.experiment,
             "kwargs": job.kwargs_dict,
@@ -159,8 +152,8 @@ class ResultCache:
             raise
 
     def contains(self, job: CampaignJob, mode: str = "journeys") -> bool:
-        payload, _ = self._paths(self.key_for(job, mode))
-        return payload.exists()
+        path, _ = self._paths(self.key_for(job, mode))
+        return path.exists()
 
     def entry_count(self) -> int:
         return sum(1 for _ in self.directory.rglob("*.pkl")) if self.directory.exists() else 0

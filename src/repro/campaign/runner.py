@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..telemetry import (
     MetricsRegistry,
+    fault_window_record,
     fold_stage_summaries,
     merge_attribution,
     meta_record,
@@ -56,28 +57,37 @@ from .worker import execute_job, tables_of
 
 @dataclass
 class JobOutcome:
-    """What happened to one job: result or error, and how it was obtained."""
+    """What happened to one job: its payload, and how it was obtained."""
 
     job: CampaignJob
-    status: str                      # "ok" | "failed"
     source: str                      # "run" | "cache" | "resume"
+    #: the dict :func:`~repro.campaign.worker.execute_job` returned, or
+    #: the cache's copy of it (which has no ``duration_s``)
+    payload: Dict[str, object]
     attempts: int = 0
-    duration_s: float = 0.0
-    result: object = None            # ResultTable or tuple of ResultTables
-    metrics: Dict[str, float] = field(default_factory=dict)
-    attribution: List[dict] = field(default_factory=list)  # journey records
-    #: per-worker stage_summary/end_to_end records (summary mode only);
-    #: O(scenarios × stages) however many journeys the job completed
-    attribution_summaries: List[dict] = field(default_factory=list)
-    error: Optional[str] = None
-    traceback: Optional[str] = None
+
+    @property
+    def status(self) -> str:         # "ok" | "failed"
+        return self.payload["status"]
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @property
+    def duration_s(self) -> float:
+        return self.payload.get("duration_s", 0.0)
+
+    @property
+    def error(self) -> Optional[str]:
+        return self.payload.get("error")
+
+    @property
+    def traceback(self) -> Optional[str]:
+        return self.payload.get("traceback")
+
     def tables(self) -> List:
-        return tables_of(self.result) if self.ok else []
+        return tables_of(self.payload["result"]) if self.ok else []
 
 
 @dataclass
@@ -108,9 +118,11 @@ class CampaignReport:
         return out
 
     def merged_metrics(self) -> Dict[str, float]:
-        return MetricsRegistry.merge_snapshots(
-            o.metrics for o in self.outcomes if o.metrics
-        )
+        """Every successful job's counters summed and samples pooled into
+        one registry, summarized as one job's snapshot is; no gauges."""
+        pooled = MetricsRegistry.pooled(o.payload["amounts"] for o in self.succeeded)
+        # keys sorted whole, as the merged line has always listed them
+        return dict(sorted(pooled.snapshot().items()))
 
     def summary(self) -> str:
         return (
@@ -128,46 +140,40 @@ class CampaignReport:
         """Write ``metrics.jsonl`` and ``attribution.jsonl`` into ``out_dir``.
 
         ``metrics.jsonl`` (``repro.telemetry/v1``): a meta record carrying
-        ``params``, one ``result`` per table, one ``snapshot`` per executed
-        job (labelled ``job:<id>``), then the merged final snapshot — so
-        the artifact ends with campaign-level totals, the same "last
-        snapshot wins" convention single-run artifacts use.
+        ``params``, one ``result`` per table, one ``snapshot`` per
+        successful job (labelled ``job:<id>``), then the ``merged``
+        snapshot (:meth:`merged_metrics`) — so the artifact ends with
+        campaign-level totals, the same "last snapshot wins" convention
+        single-run artifacts use.
 
         ``attribution.jsonl`` (``repro.attribution/v1``, named ``name``):
-        per-job journey records merge the way metric snapshots do —
-        sources sorted by job id, journeys tagged with their source,
-        summaries recomputed over the union — deterministic for any
-        worker count or completion order.  Cache/resume hits carry no
-        journeys (the job never ran), so only executed jobs contribute.
-        Campaigns run in summary attribution mode carry per-worker
-        ``stage_summary`` records instead of journeys; those fold via
-        :func:`fold_stage_summaries`, keeping the merge memory bounded.
+        per-job journey and fault-window records merge deterministically —
+        sources sorted by job id, records tagged with their source,
+        summaries recomputed over the union — for any worker count or
+        completion order.  Campaigns run in summary attribution mode
+        carry per-worker ``stage_summary`` records instead of journeys;
+        those fold via :func:`fold_stage_summaries`, keeping the merge
+        memory bounded.
         """
         out_dir = Path(out_dir)
+        done = [(f"job:{o.job.job_id}", o.payload) for o in self.succeeded]
         records = [meta_record("campaign", params, summary=self.summary())]
         records += [result_record(t) for t in self.tables()]
-        for outcome in self.outcomes:
-            if outcome.metrics:
-                records.append(
-                    snapshot_record(f"job:{outcome.job.job_id}", None, outcome.metrics)
-                )
+        records += [snapshot_record(label, None, p["metrics"]) for label, p in done]
         records.append(snapshot_record("merged", None, self.merged_metrics()))
         write_jsonl(out_dir / "metrics.jsonl", records)
 
-        folded = [
-            (f"job:{o.job.job_id}", o.attribution_summaries)
-            for o in self.outcomes
-            if o.attribution_summaries
-        ]
-        if folded and not any(o.attribution for o in self.outcomes):
+        folded = [(label, p["attribution_summaries"]) for label, p in done
+                  if p["attribution_summaries"]]
+        if folded and not any(p["attribution"] for _, p in done):
             records = fold_stage_summaries(folded, name=name)
         else:
             sources = [
-                (f"job:{o.job.job_id}", o.attribution)
-                for o in self.outcomes
-                if o.attribution
+                (label, p["attribution"]
+                 + [fault_window_record(w) for w in p["fault_windows"]])
+                for label, p in done
             ]
-            records = merge_attribution(sources, name=name)
+            records = merge_attribution([s for s in sources if s[1]], name=name)
         write_jsonl(out_dir / "attribution.jsonl", records)
 
 
@@ -263,13 +269,7 @@ class CampaignRunner:
         if entry is None:
             return None
         source = "resume" if self.resume and job.job_id in done_before else "cache"
-        return JobOutcome(
-            job, "ok", source, attempts=0, duration_s=0.0,
-            result=entry["result"],
-            metrics=entry.get("metrics", {}),
-            attribution=entry.get("attribution", []),
-            attribution_summaries=entry.get("attribution_summaries", []),
-        )
+        return JobOutcome(job, source, entry)
 
     # -- serial path --------------------------------------------------------
 
@@ -279,13 +279,13 @@ class CampaignRunner:
             attempt = 0
             while True:
                 attempt += 1
-                raw = execute_job(
+                payload = execute_job(
                     (job.experiment, job.kwargs, job.seed, self.attribution_mode)
                 )
-                if raw["status"] == "ok" or attempt > self.retries:
+                if payload["status"] == "ok" or attempt > self.retries:
                     break
                 time.sleep(self._backoff(attempt))
-            outcome = self._finish(job, raw, attempt)
+            outcome = self._finish(job, payload, attempt)
             outcomes[job] = outcome
             self._journal(manifest, outcome)
         return outcomes
@@ -335,18 +335,18 @@ class CampaignRunner:
                     if exc is not None:
                         # worker death (BrokenProcessPool) or payload
                         # pickling trouble — treat like any job failure
-                        raw = {
+                        payload = {
                             "status": "failed",
                             "error": f"{type(exc).__name__}: {exc}",
                             "traceback": None,
                             "duration_s": 0.0,
                         }
                     else:
-                        raw = future.result()
-                    if raw["status"] == "failed" and attempt <= self.retries:
+                        payload = future.result()
+                    if payload["status"] == "failed" and attempt <= self.retries:
                         queue.append((job, attempt + 1, now + self._backoff(attempt)))
                         continue
-                    outcome = self._finish(job, raw, attempt)
+                    outcome = self._finish(job, payload, attempt)
                     outcomes[job] = outcome
                     self._journal(manifest, outcome)
 
@@ -359,7 +359,7 @@ class CampaignRunner:
                     pending.pop(future)
                     if not future.cancel():
                         abandoned = True
-                    raw = {
+                    payload = {
                         "status": "failed",
                         "error": f"TimeoutError: exceeded {self.timeout_s}s",
                         "traceback": None,
@@ -368,7 +368,7 @@ class CampaignRunner:
                     if attempt <= self.retries:
                         queue.append((job, attempt + 1, now + self._backoff(attempt)))
                     else:
-                        outcome = self._finish(job, raw, attempt)
+                        outcome = self._finish(job, payload, attempt)
                         outcomes[job] = outcome
                         self._journal(manifest, outcome)
         finally:
@@ -382,29 +382,11 @@ class CampaignRunner:
     def _backoff(self, attempt: int) -> float:
         return self.backoff_s * (2 ** (attempt - 1))
 
-    def _finish(self, job: CampaignJob, raw: dict, attempts: int) -> JobOutcome:
-        if raw["status"] == "ok":
-            outcome = JobOutcome(
-                job, "ok", "run", attempts=attempts,
-                duration_s=raw["duration_s"], result=raw["result"],
-                metrics=raw.get("metrics", {}),
-                attribution=raw.get("attribution", []),
-                attribution_summaries=raw.get("attribution_summaries", []),
-            )
-            if self.cache is not None:
-                self.cache.put(
-                    job, raw["result"],
-                    metrics=outcome.metrics,
-                    attribution=outcome.attribution,
-                    attribution_summaries=outcome.attribution_summaries,
-                    mode=self.attribution_mode,
-                )
-            return outcome
-        return JobOutcome(
-            job, "failed", "run", attempts=attempts,
-            duration_s=raw.get("duration_s", 0.0),
-            error=raw.get("error"), traceback=raw.get("traceback"),
-        )
+    def _finish(self, job: CampaignJob, payload: dict, attempts: int) -> JobOutcome:
+        outcome = JobOutcome(job, "run", payload, attempts)
+        if outcome.ok and self.cache is not None:
+            self.cache.put(job, payload, mode=self.attribution_mode)
+        return outcome
 
     def _journal(self, manifest, outcome: JobOutcome) -> None:
         if manifest is None:

@@ -6,9 +6,11 @@ job description — not a closure — is what crosses the process boundary.
 Each invocation imports its experiment's runner (see
 :class:`~repro.campaign.registry.ExperimentSpec`) before its clock starts,
 runs it under its own :class:`~repro.telemetry.TraceSession` and returns
-a plain dict: pickle-friendly tables, the final metrics snapshot,
-wall-clock duration, and (on failure) the formatted traceback.  Exceptions never escape: a
-crashing experiment yields a ``status="failed"`` outcome so the parent
+the job's **payload**, a plain dict: pickle-friendly tables, the final
+metrics snapshot and what pools across jobs, the attribution records,
+wall-clock duration, and (on failure) the formatted traceback.  The
+campaign keeps and caches the payload whole.  Exceptions never escape: a
+crashing experiment yields a ``status="failed"`` payload so the parent
 can retry or record it without losing the rest of the campaign.
 
 :func:`run_experiment` is the one-off counterpart for the CLIs: one named
@@ -71,19 +73,21 @@ def run_experiment(
     return session, tables
 
 
-def execute_job(payload: Tuple[str, tuple, int]) -> Dict[str, object]:
-    """Pool entry point: run one job, never raise.
+def execute_job(message: Tuple[str, tuple, int]) -> Dict[str, object]:
+    """Pool entry point: run one job, never raise; returns its payload.
 
-    ``payload`` is ``(experiment, kwargs_pairs, seed)`` — rather than a
+    ``message`` is ``(experiment, kwargs_pairs, seed)`` — rather than a
     :class:`CampaignJob` — so the pickled message stays a plain tuple.  An
     optional fourth element selects the attribution mode: ``"journeys"``
     (default — every journey record crosses back for an exact merge) or
     ``"summary"`` (the journeys are reduced to ``stage_summary`` records
     in-worker, so neither the pickle payload nor the parent's merge grows
     with journey count — the bounded-memory path for very large sweeps).
+    Either way ``amounts`` carries every histogram sample, which the
+    campaign's ``merged`` snapshot pools.
     """
-    job = CampaignJob(*payload[:3])
-    mode = payload[3] if len(payload) > 3 else "journeys"
+    job = CampaignJob(*message[:3])
+    mode = message[3] if len(message) > 3 else "journeys"
     try:
         # import the runner's module before the clock starts, so no
         # job's duration includes an import
@@ -108,8 +112,10 @@ def execute_job(payload: Tuple[str, tuple, int]) -> Dict[str, object]:
             "job_id": job.job_id,
             "result": result,
             "metrics": session.registry.snapshot(),
+            "amounts": session.registry.amounts(),
             "attribution": attribution,
             "attribution_summaries": summaries,
+            "fault_windows": session.fault_windows,
             "duration_s": time.perf_counter() - t0,
         }
     except BaseException as exc:  # noqa: BLE001 — the whole point is containment

@@ -1,80 +1,48 @@
 """DMI channel model: frames, CRC, scrambling, links, handshake, training."""
 
-from .channel import (
-    BufferCommandLayer,
-    DmiChannel,
-    EndpointConfig,
-    FrameEndpoint,
-    HostCommandLayer,
-)
-from .commands import Command, Opcode, Response
-from .crc import append_crc, check_crc, crc16
-from .frames import (
-    DOWN_DATA_CHUNK,
-    DOWN_LANES,
-    DOWN_WIRE_BYTES,
-    FRAME_UI,
-    SEQ_MOD,
-    UP_DATA_CHUNK,
-    UP_LANES,
-    UP_WIRE_BYTES,
-    CommandHeader,
-    DataChunk,
-    DoneNotice,
-    DownstreamFrame,
-    TrainingFrame,
-    UpstreamFrame,
-    next_seq,
-    seq_distance,
-)
-from .link import LinkErrorModel, SerialLink
-from .replay import ReplayBuffer
-from .scrambler import BundleScrambler, LaneScrambler
-from .tags import NUM_TAGS, TagPool
-from .training import (
-    DEFAULT_HOST_MAX_FRTL_PS,
-    LinkTrainer,
-    TrainingConfig,
-    TrainingResult,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BufferCommandLayer",
-    "BundleScrambler",
-    "Command",
-    "CommandHeader",
-    "DEFAULT_HOST_MAX_FRTL_PS",
-    "DOWN_DATA_CHUNK",
-    "DOWN_LANES",
-    "DOWN_WIRE_BYTES",
-    "DataChunk",
-    "DmiChannel",
-    "DoneNotice",
-    "DownstreamFrame",
-    "EndpointConfig",
-    "FRAME_UI",
-    "FrameEndpoint",
-    "HostCommandLayer",
-    "LaneScrambler",
-    "LinkErrorModel",
-    "LinkTrainer",
-    "NUM_TAGS",
-    "Opcode",
-    "ReplayBuffer",
-    "Response",
-    "SEQ_MOD",
-    "SerialLink",
-    "TagPool",
-    "TrainingConfig",
-    "TrainingFrame",
-    "TrainingResult",
-    "UP_DATA_CHUNK",
-    "UP_LANES",
-    "UP_WIRE_BYTES",
-    "UpstreamFrame",
-    "append_crc",
-    "check_crc",
-    "crc16",
-    "next_seq",
-    "seq_distance",
-]
+#: public name -> submodule imported on first access (PEP 562)
+_EXPORTS = {
+    "BufferCommandLayer": ".channel",
+    "BundleScrambler": ".scrambler",
+    "Command": ".commands",
+    "CommandHeader": ".frames",
+    "DEFAULT_HOST_MAX_FRTL_PS": ".training",
+    "DOWN_DATA_CHUNK": ".frames",
+    "DOWN_LANES": ".frames",
+    "DOWN_WIRE_BYTES": ".frames",
+    "DataChunk": ".frames",
+    "DmiChannel": ".channel",
+    "DoneNotice": ".frames",
+    "DownstreamFrame": ".frames",
+    "EndpointConfig": ".channel",
+    "FRAME_UI": ".frames",
+    "FrameEndpoint": ".channel",
+    "HostCommandLayer": ".channel",
+    "LaneScrambler": ".scrambler",
+    "LinkErrorModel": ".link",
+    "LinkTrainer": ".training",
+    "NUM_TAGS": ".tags",
+    "Opcode": ".commands",
+    "ReplayBuffer": ".replay",
+    "Response": ".commands",
+    "SEQ_MOD": ".frames",
+    "SerialLink": ".link",
+    "TagPool": ".tags",
+    "TrainingConfig": ".training",
+    "TrainingFrame": ".frames",
+    "TrainingResult": ".training",
+    "UP_DATA_CHUNK": ".frames",
+    "UP_LANES": ".frames",
+    "UP_WIRE_BYTES": ".frames",
+    "UpstreamFrame": ".frames",
+    "append_crc": ".crc",
+    "check_crc": ".crc",
+    "crc16": ".crc",
+    "next_seq": ".frames",
+    "seq_distance": ".frames",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,72 +1,43 @@
 """ConTutto FPGA logic: timing closure, MBS, Avalon, resources, the buffer."""
 
-from .alu import (
-    RmwAlu,
-    conditional_swap,
-    max_store,
-    merge_partial,
-    min_store,
-)
-from .avalon import AvalonBus, AvalonPort
-from .command_engine import (
-    ENGINES_PER_WRITE_PORT,
-    NUM_ENGINES,
-    CommandEngine,
-    EnginePool,
-)
-from .contutto import NUM_DIMM_SLOTS, ConTuttoBuffer
-from .latency_knob import CYCLES_PER_POSITION, MAX_POSITION, LatencyKnob
-from .mbs import MbsLogic
-from .pcie_link import LINK_CHUNK_BYTES, CardToCardLink
-from .tcam import TCAM_BLOCK_COST, TcamEntry, TernaryCam
-from .resources import (
-    ACCEL_BLOCK_COSTS,
-    BASE_BLOCK_COSTS,
-    STRATIX_V_A9,
-    BlockCost,
-    DesignResources,
-    FpgaDevice,
-    base_design_resources,
-)
-from .timing import (
-    INITIAL_TIMING,
-    SHIPPING_TIMING,
-    FpgaTimingConfig,
-    TimingClosure,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACCEL_BLOCK_COSTS",
-    "AvalonBus",
-    "AvalonPort",
-    "BASE_BLOCK_COSTS",
-    "BlockCost",
-    "CardToCardLink",
-    "CommandEngine",
-    "LINK_CHUNK_BYTES",
-    "TCAM_BLOCK_COST",
-    "TcamEntry",
-    "TernaryCam",
-    "ConTuttoBuffer",
-    "CYCLES_PER_POSITION",
-    "DesignResources",
-    "ENGINES_PER_WRITE_PORT",
-    "EnginePool",
-    "FpgaDevice",
-    "FpgaTimingConfig",
-    "INITIAL_TIMING",
-    "LatencyKnob",
-    "MAX_POSITION",
-    "MbsLogic",
-    "NUM_DIMM_SLOTS",
-    "NUM_ENGINES",
-    "RmwAlu",
-    "SHIPPING_TIMING",
-    "STRATIX_V_A9",
-    "TimingClosure",
-    "base_design_resources",
-    "conditional_swap",
-    "max_store",
-    "merge_partial",
-    "min_store",
-]
+#: public name -> submodule imported on first access (PEP 562)
+_EXPORTS = {
+    "ACCEL_BLOCK_COSTS": ".resources",
+    "AvalonBus": ".avalon",
+    "AvalonPort": ".avalon",
+    "BASE_BLOCK_COSTS": ".resources",
+    "BlockCost": ".resources",
+    "CYCLES_PER_POSITION": ".latency_knob",
+    "CardToCardLink": ".pcie_link",
+    "CommandEngine": ".command_engine",
+    "ConTuttoBuffer": ".contutto",
+    "DesignResources": ".resources",
+    "ENGINES_PER_WRITE_PORT": ".command_engine",
+    "EnginePool": ".command_engine",
+    "FpgaDevice": ".resources",
+    "FpgaTimingConfig": ".timing",
+    "INITIAL_TIMING": ".timing",
+    "LINK_CHUNK_BYTES": ".pcie_link",
+    "LatencyKnob": ".latency_knob",
+    "MAX_POSITION": ".latency_knob",
+    "MbsLogic": ".mbs",
+    "NUM_DIMM_SLOTS": ".contutto",
+    "NUM_ENGINES": ".command_engine",
+    "RmwAlu": ".alu",
+    "SHIPPING_TIMING": ".timing",
+    "STRATIX_V_A9": ".resources",
+    "TCAM_BLOCK_COST": ".tcam",
+    "TcamEntry": ".tcam",
+    "TernaryCam": ".tcam",
+    "TimingClosure": ".timing",
+    "base_design_resources": ".resources",
+    "conditional_swap": ".alu",
+    "max_store": ".alu",
+    "merge_partial": ".alu",
+    "min_store": ".alu",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -109,7 +109,8 @@ def run_tiered_replay(
     migrated_kib = sum(c.migrated_bytes for c in counts) / 1024
     trace = probe.session
     if trace is not None:
-        # the suite report reads these from the merged metrics snapshot
+        # levels of this run: its job snapshot keeps them, and a
+        # campaign's merged snapshot, which pools amounts, leaves them out
         trace.gauge_set("tier.fast_hit_rate", hit_rate)
         trace.gauge_set("tier.hot_slow_pages",
                         sum(d.hot_slow_pages for d in devices))

@@ -16,8 +16,8 @@ Record provenance per section:
   ``stage_summary`` records, plus ``fault_window`` records bucketed
   against the journeys when the campaign injected faults) and
   ``campaign-<name>/metrics.jsonl`` (the final ``merged`` snapshot:
-  occupancy histograms and ``tier.*`` hybrid-memory counters — both
-  deterministic merges of per-job sim-time metrics);
+  occupancy histograms and ``tier.*`` hybrid-memory counters, pooled
+  over every job's samples and counts; it holds no gauges);
 * services — ``service-<name>/run_table.jsonl`` (window + repetition
   records, SLO verdict columns included);
 * tunes — ``tune-<name>/pareto.jsonl`` (meta + trial records);

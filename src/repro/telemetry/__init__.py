@@ -34,6 +34,7 @@ from .attribution import (
     JourneyTracker,
     LatencyBreakdown,
     OccupancySampler,
+    fault_window_record,
     fold_stage_summaries,
     journey_record,
     merge_attribution,
@@ -62,6 +63,7 @@ __all__ = [
     "TraceEvent",
     "TraceSession",
     "bucket_of",
+    "fault_window_record",
     "final_snapshot",
     "fold_stage_summaries",
     "journey_record",

@@ -21,6 +21,7 @@ from .artifact import (
     ATTRIBUTION_SCHEMA,
     ATTRIBUTION_SCHEMA_VERSION,
     attribution_meta,
+    fault_window_record,
     fault_window_records,
     fold_stage_summaries,
     journey_record,
@@ -57,6 +58,7 @@ __all__ = [
     "STAGE_ORDER",
     "StageVisit",
     "attribution_meta",
+    "fault_window_record",
     "fault_window_records",
     "fold_stage_summaries",
     "journey_chrome_extras",

@@ -17,11 +17,11 @@ Record stream (JSON Lines, one object per line):
     injector, bounds) — the raw material of the time-bucketed
     injections-vs-latency view.
 
-Merging follows the :meth:`MetricsRegistry.merge_snapshots` philosophy:
-per-worker artifacts combine into one campaign artifact deterministically
-— sources sorted by label, journeys kept in per-source order and tagged
-with their source, summaries recomputed over the union — so the merged
-file is byte-identical regardless of worker count or completion order.
+Per-worker artifacts merge into one campaign artifact deterministically —
+sources sorted by label, journeys and fault windows kept in per-source
+order and tagged with their source, summaries recomputed over the union —
+so the merged file is byte-identical regardless of worker count or
+completion order.
 """
 
 from __future__ import annotations
@@ -132,14 +132,15 @@ def session_attribution_records(session) -> List[dict]:
         )
     ]
     records.extend(journeys)
-    for window in getattr(session, "fault_windows", []) or []:
-        records.append({
-            "schema": ATTRIBUTION_SCHEMA,
-            "kind": "fault_window",
-            **window,
-        })
+    records.extend(fault_window_record(w) for w in session.fault_windows)
     records.extend(stage_summary_records(breakdown))
     return records
+
+
+def fault_window_record(window: dict) -> dict:
+    """The artifact form of one closed fault window (a
+    ``TraceSession.fault_windows`` entry)."""
+    return {"schema": ATTRIBUTION_SCHEMA, "kind": "fault_window", **window}
 
 
 def read_attribution(path: str) -> List[dict]:
@@ -160,25 +161,29 @@ def fault_window_records(records: Iterable[dict]) -> List[dict]:
 def merge_attribution(
     sources: Iterable[Tuple[str, List[dict]]], name: str = "merged"
 ) -> List[dict]:
-    """Merge per-source journey-record lists into one artifact stream.
+    """Merge per-source journey and fault-window records into one stream.
 
-    ``sources`` is ``(label, journey_records)`` pairs — e.g. one per
-    campaign job.  Output is deterministic for a given set of sources:
-    sources sort by label, each journey gains a ``source`` field, and
+    ``sources`` is ``(label, records)`` pairs — e.g. one per campaign
+    job.  Output is deterministic for a given set of sources: sources
+    sort by label, each journey and ``fault_window`` record gains a
+    ``source`` field (windows follow every journey, in source order), and
     summaries are recomputed over the union.
     """
     ordered: List[Tuple[str, List[dict]]] = sorted(sources, key=lambda s: s[0])
     merged: List[dict] = []
+    windows: List[dict] = []
     scenarios: Dict[str, bool] = {}
     for label, records in ordered:
         for record in records:
-            if record.get("kind") not in (None, "journey"):
-                continue
-            tagged = dict(record)
-            tagged["kind"] = "journey"
-            tagged["source"] = label
-            merged.append(tagged)
-            scenarios[tagged.get("scenario", "")] = True
+            kind = record.get("kind")
+            if kind == "fault_window":
+                windows.append({**record, "source": label})
+            elif kind in (None, "journey"):
+                tagged = dict(record)
+                tagged["kind"] = "journey"
+                tagged["source"] = label
+                merged.append(tagged)
+                scenarios[tagged.get("scenario", "")] = True
     breakdown = LatencyBreakdown()
     breakdown.add_records(merged)
     out = [
@@ -188,6 +193,7 @@ def merge_attribution(
         )
     ]
     out.extend(merged)
+    out.extend(windows)
     out.extend(stage_summary_records(breakdown))
     return out
 

@@ -85,6 +85,14 @@ class MetricsRegistry:
 
     # -- snapshot / diff / reset --------------------------------------------
 
+    def _pulled(self) -> Dict[str, int]:
+        """Each pulled name's sum over every registered counts object."""
+        pulled: Dict[str, int] = {}
+        for counts in self._counts:
+            for field, name in counts.METRICS.items():
+                pulled[name] = pulled.get(name, 0) + getattr(counts, field)
+        return pulled
+
     def snapshot(self) -> Dict[str, float]:
         """A flat ``{name: value}`` view of every metric, sorted by name.
 
@@ -95,10 +103,7 @@ class MetricsRegistry:
         pushed count of the same name; it appears when that sum is
         nonzero or the name is registered (the session's core counters).
         """
-        pulled: Dict[str, int] = {}
-        for counts in self._counts:
-            for field, name in counts.METRICS.items():
-                pulled[name] = pulled.get(name, 0) + getattr(counts, field)
+        pulled = self._pulled()
         names = set(self._metrics)
         names.update(name for name, value in pulled.items() if value)
         out: Dict[str, float] = {}
@@ -108,6 +113,36 @@ class MetricsRegistry:
             if name in pulled:
                 out[name] = out.get(name, 0) + pulled[name]
         return out
+
+    def amounts(self) -> Dict[str, object]:
+        """What pools across runs, by name: each counter's total as
+        :meth:`snapshot` reports it, and each histogram's sample list
+        itself, not a copy.  Gauges are left out: a gauge is one run's
+        level, not an amount."""
+        out: Dict[str, object] = {}
+        for name, metric in self._metrics.items():
+            if isinstance(metric, Counter):
+                out[name] = metric.count
+            elif isinstance(metric, Histogram):
+                out[name] = metric.samples
+        for name, value in self._pulled().items():
+            if value or name in out:
+                out[name] = out.get(name, 0) + value
+        return out
+
+    @classmethod
+    def pooled(cls, runs: Iterable[Dict[str, object]]) -> "MetricsRegistry":
+        """One registry holding every run's :meth:`amounts`: counters
+        summed, samples pooled in run order, so its :meth:`snapshot`
+        summarizes all runs the way one run's snapshot summarizes it."""
+        registry = cls()
+        for amounts in runs:
+            for name, amount in amounts.items():
+                if isinstance(amount, list):
+                    registry.histogram(name).samples.extend(amount)
+                else:
+                    registry.counter(name).add(amount)
+        return registry
 
     @staticmethod
     def diff(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
@@ -125,37 +160,6 @@ class MetricsRegistry:
             if key not in after and value:
                 out[key] = -value
         return out
-
-    #: snapshot-key suffixes that aggregate non-additively when merging
-    _MERGE_MIN = (".min",)
-    _MERGE_MAX = (".max", ".high_water")
-    _MERGE_LAST = (".mean", ".p50", ".p95", ".p99")
-
-    @classmethod
-    def merge_snapshots(cls, snapshots: Iterable[Dict[str, float]]) -> Dict[str, float]:
-        """Fold per-run flat snapshots into one aggregate view.
-
-        The campaign runner uses this to merge worker telemetry: additive
-        keys (counters, histogram ``.count``, gauge values) sum; ``.min``
-        takes the minimum, ``.max``/``.high_water`` the maximum; per-run
-        distribution statistics (``.mean``/percentiles) keep the last
-        value seen — they don't aggregate linearly, and each run's own
-        values stay in its individual snapshot record.
-        """
-        merged: Dict[str, float] = {}
-        for snap in snapshots:
-            for key, value in snap.items():
-                if key not in merged:
-                    merged[key] = value
-                elif key.endswith(cls._MERGE_MIN):
-                    merged[key] = min(merged[key], value)
-                elif key.endswith(cls._MERGE_MAX):
-                    merged[key] = max(merged[key], value)
-                elif key.endswith(cls._MERGE_LAST):
-                    merged[key] = value
-                else:
-                    merged[key] += value
-        return dict(sorted(merged.items()))
 
     def reset(self) -> None:
         """Zero every pushed metric (registrations survive); pulled counts

@@ -151,7 +151,6 @@ class TuneDriver:
         timeout_s: Optional[float] = None,
         retries: int = 1,
         faults: Optional[str] = None,
-        attribution_mode: str = "summary",
     ):
         self.spec = spec
         self.seed = seed
@@ -162,7 +161,6 @@ class TuneDriver:
         self.timeout_s = timeout_s
         self.retries = retries
         self.faults = faults
-        self.attribution_mode = attribution_mode
 
     # -- job construction ---------------------------------------------------
 
@@ -216,7 +214,9 @@ class TuneDriver:
                 timeout_s=self.timeout_s,
                 retries=self.retries,
                 base_seed=self.seed,
-                attribution_mode=self.attribution_mode,
+                # trials fold their journeys in-worker: a search keeps
+                # stage summaries, never every journey of every trial
+                attribution_mode="summary",
             )
             report = runner.run()
             results: Dict[str, Optional[Dict[str, float]]] = {}

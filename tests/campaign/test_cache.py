@@ -59,7 +59,7 @@ class TestStore:
     def test_hit_on_identical_job(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
         assert cache.get(JOB) is None
-        cache.put(JOB, echo_table(1))
+        cache.put(JOB, {"result": echo_table(1)})
         hit = cache.get(JOB)
         assert hit["result"] == echo_table(1)
         assert cache.hits == 1 and cache.misses == 1
@@ -67,22 +67,23 @@ class TestStore:
 
     def test_entry_carries_full_job_payload(self, tmp_path):
         # warm replays must be artifact-identical to the original run:
-        # metrics and attribution ride in the entry, not just the result
+        # the whole payload rides in the entry, less its wall-clock time
         cache = ResultCache(tmp_path, fingerprint="fp")
-        cache.put(
-            JOB, echo_table(1),
-            metrics={"m": 1},
-            attribution=[{"kind": "journey", "jid": 1}],
-            attribution_summaries=[{"kind": "stage_summary"}],
-        )
+        payload = {
+            "status": "ok", "result": echo_table(1), "metrics": {"m": 1},
+            "amounts": {"m": 1, "h": [3, 1, 2]},
+            "attribution": [{"kind": "journey", "jid": 1}],
+            "attribution_summaries": [{"kind": "stage_summary"}],
+            "fault_windows": [{"label": "drop", "start_ps": 0, "end_ps": 5}],
+            "duration_s": 0.25,
+        }
+        cache.put(JOB, payload)
         hit = cache.get(JOB)
-        assert hit["metrics"] == {"m": 1}
-        assert hit["attribution"] == [{"kind": "journey", "jid": 1}]
-        assert hit["attribution_summaries"] == [{"kind": "stage_summary"}]
+        assert hit == {k: v for k, v in payload.items() if k != "duration_s"}
 
     def test_modes_do_not_share_entries(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
-        cache.put(JOB, echo_table(1), mode="summary")
+        cache.put(JOB, {"result": echo_table(1)}, mode="summary")
         assert cache.get(JOB, mode="journeys") is None
         assert cache.get(JOB, mode="summary")["result"] == echo_table(1)
         assert cache.contains(JOB, mode="summary")
@@ -90,7 +91,7 @@ class TestStore:
 
     def test_miss_on_changed_kwargs_seed_or_code(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
-        cache.put(JOB, echo_table(1))
+        cache.put(JOB, {"result": echo_table(1)})
         assert cache.get(CampaignJob.make("_selftest_echo", {"value": 2}, 0)) is None
         assert cache.get(CampaignJob.make("_selftest_echo", {"value": 1}, 1)) is None
         stale_code = ResultCache(tmp_path, fingerprint="fp2")
@@ -99,12 +100,12 @@ class TestStore:
     def test_tuple_results_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
         pair = (echo_table(1), echo_table(2))
-        cache.put(JOB, pair)
+        cache.put(JOB, {"result": pair})
         assert cache.get(JOB)["result"] == pair
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
-        key = cache.put(JOB, echo_table(1))
+        key = cache.put(JOB, {"result": echo_table(1)})
         payload = tmp_path / key[:2] / f"{key}.pkl"
         payload.write_bytes(b"not a pickle")
         assert cache.get(JOB) is None
@@ -113,7 +114,7 @@ class TestStore:
         import json
 
         cache = ResultCache(tmp_path, fingerprint="fp")
-        key = cache.put(JOB, echo_table(1))
+        key = cache.put(JOB, {"result": echo_table(1)})
         meta = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
         assert meta["experiment"] == "_selftest_echo"
         assert meta["kwargs"] == {"value": 1}
@@ -124,5 +125,5 @@ class TestStore:
     def test_entry_count(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
         assert cache.entry_count() == 0
-        cache.put(JOB, echo_table(1))
+        cache.put(JOB, {"result": echo_table(1)})
         assert cache.entry_count() == 1

@@ -6,17 +6,41 @@ worker processes.
 """
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
+    CampaignJob,
+    CampaignReport,
     CampaignRunner,
+    JobOutcome,
     ResultCache,
     ScenarioMatrix,
     completed_job_ids,
     read_manifest,
 )
 from repro.telemetry import MetricsRegistry, read_jsonl
+
+#: one metric event of a job: a count, a histogram sample or a gauge level
+EVENT = st.one_of(
+    st.tuples(st.just("count"), st.sampled_from(["c.a", "c.shared"]), st.integers(0, 9)),
+    st.tuples(st.just("sample"), st.sampled_from(["h.a", "h.b"]),
+              st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6)),
+    st.tuples(st.just("gauge"), st.sampled_from(["g.a", "c.a.level"]), st.floats(0, 1e3)),
+)
+
+
+class Pulled:
+    """A component's kept counts, one of them also pushed (``c.shared``)."""
+
+    METRICS = {"hits": "p.hits", "shared": "c.shared"}
+
+    def __init__(self, hits, shared):
+        self.hits = hits
+        self.shared = shared
 
 
 def echo_matrix(values, base_seed=0):
@@ -42,7 +66,7 @@ class TestExecution:
     def test_outcomes_carry_worker_metrics(self):
         jobs = ScenarioMatrix.paper(only=["table3"]).expand()
         report = CampaignRunner(jobs, workers=2).run()
-        metrics = report.outcomes[0].metrics
+        metrics = report.outcomes[0].payload["metrics"]
         assert metrics["dmi.frames_sent"] > 0
 
     def test_failed_job_does_not_sink_the_campaign(self):
@@ -195,6 +219,27 @@ class TestTelemetryMerge:
         total_frames = sum(s["metrics"]["dmi.frames_sent"] for s in per_job)
         assert merged["dmi.frames_sent"] == total_frames
 
+    def test_merged_snapshot_pools_job_samples(self, tmp_path):
+        # real jobs: counts sum, means weigh by count, no gauge merges,
+        # and a warm cache at another worker count merges the same
+        jobs = ScenarioMatrix.paper(only=["table3", "table2"]).expand()
+        cold = CampaignRunner(jobs, workers=2, cache=ResultCache(tmp_path)).run()
+        warm = CampaignRunner(jobs, workers=1, cache=ResultCache(tmp_path)).run()
+        assert warm.cache_hits == len(jobs)
+        merged = cold.merged_metrics()
+        assert warm.merged_metrics() == merged
+        snapshots = [o.payload["metrics"] for o in cold.outcomes]
+        hists = {name for o in cold.outcomes
+                 for name, amount in o.payload["amounts"].items() if isinstance(amount, list)}
+        assert "buffer.service_ps" in hists
+        for name in hists:
+            n = sum(s.get(f"{name}.count", 0) for s in snapshots)
+            total = sum(s.get(f"{name}.mean", 0) * s.get(f"{name}.count", 0) for s in snapshots)
+            assert merged[f"{name}.count"] == n
+            assert merged[f"{name}.mean"] == pytest.approx(total / n if n else 0.0, rel=1e-9)
+        assert any(k.endswith(".high_water") for s in snapshots for k in s)
+        assert not [k for k in merged if k.endswith(".high_water")]
+
     def test_attribution_merges_deterministically_across_workers(self, tmp_path):
         # two journey-producing jobs; worker count and completion order
         # must not leak into the merged attribution artifact
@@ -220,13 +265,44 @@ class TestTelemetryMerge:
         assert {j["source"] for j in journeys} == set(meta["sources"])
         assert any(r["kind"] == "stage_summary" for r in records)
 
-    def test_merge_snapshot_rules(self):
-        merged = MetricsRegistry.merge_snapshots([
-            {"a.count": 2, "a.min": 1.0, "a.max": 5.0, "a.mean": 3.0, "c": 7},
-            {"a.count": 3, "a.min": 0.5, "a.max": 9.0, "a.mean": 4.0, "c": 1},
-        ])
-        assert merged["a.count"] == 5
-        assert merged["a.min"] == 0.5
-        assert merged["a.max"] == 9.0
-        assert merged["a.mean"] == 4.0   # last wins: per-run statistic
-        assert merged["c"] == 8          # counters sum
+    @settings(deadline=None)  # cache writes make example times vary
+    @given(
+        events=st.lists(EVENT, max_size=40),
+        cuts=st.lists(st.integers(0, 40), max_size=5),
+        pulled=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=6,
+                        max_size=6),
+        cached=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_merge_pools_like_one_registry(self, events, cuts, pulled, cached):
+        # the events split across jobs (some empty, some replayed from the
+        # cache) merge to the snapshot of one registry that saw them all,
+        # its gauges excepted
+        bounds = [0] + sorted(min(c, len(events)) for c in cuts) + [len(events)]
+        seen = MetricsRegistry()
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResultCache(tmp, fingerprint="fp")
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                counts = Pulled(*pulled[i])
+                registry = MetricsRegistry()
+                registry.add_counts(counts)
+                seen.add_counts(counts)
+                for kind, name, value in events[lo:hi]:
+                    if kind == "gauge":
+                        registry.gauge(name).set(value)
+                        continue
+                    for target in (registry, seen):
+                        if kind == "count":
+                            target.counter(name).add(value)
+                        else:
+                            target.histogram(name).record(value)
+                job = CampaignJob.make("_selftest_echo", {"value": i}, 0)
+                payload = {"status": "ok", "result": None, "amounts": registry.amounts()}
+                if cached[i]:
+                    cache.put(job, payload)
+                    outcomes.append(JobOutcome(job, "cache", payload=cache.get(job)))
+                else:
+                    outcomes.append(JobOutcome(job, "run", attempts=1, payload=payload))
+        merged = CampaignReport(outcomes, 0.0, 1).merged_metrics()
+        assert merged == seen.snapshot()
+        assert list(merged) == sorted(merged)

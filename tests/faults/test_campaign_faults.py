@@ -1,15 +1,21 @@
 """Fault campaigns are deterministic: same plan + seed -> identical
 artifacts regardless of worker count (the ISSUE's byte-identity bar)."""
 
+import json
+
 from repro.campaign import (
     ScenarioMatrix,
     apply_fault_plan,
     canonical_manifest,
+    execute_job,
     get_experiment,
     read_manifest,
     run_campaign,
 )
 from repro.faults import FaultPlan, FaultSpec
+from repro.report import SuiteRunner, SuiteSpec
+from repro.telemetry import fault_window_record, read_attribution
+from repro.telemetry.attribution import fault_window_records
 
 PLAN = FaultPlan(name="smoke", specs=(FaultSpec(
     "dmi.frame_drop", target="0", schedule="periodic",
@@ -59,3 +65,37 @@ class TestWorkerCountInvariance:
         ) == canonical_manifest(
             read_manifest(str(parallel / "manifest.jsonl"))
         )
+
+    def test_artifact_carries_every_job_fault_window(self, tmp_path):
+        plan_json = PLAN.to_json()
+        serial = self.run_campaign(tmp_path, "serial", 1, plan_json)
+        parallel = self.run_campaign(tmp_path, "parallel", 2, plan_json)
+        a = (serial / "attribution.jsonl").read_bytes()
+        assert a == (parallel / "attribution.jsonl").read_bytes()
+        (job,) = fault_jobs(plan_json)
+        own = execute_job((job.experiment, job.kwargs, job.seed))["fault_windows"]
+        assert own
+        windows = fault_window_records(read_attribution(serial / "attribution.jsonl"))
+        assert windows == [
+            {**fault_window_record(w), "source": f"job:{job.job_id}"} for w in own
+        ]
+
+
+class TestSuiteFaultBuckets:
+    def test_faulted_suite_campaign_reports_fault_buckets(self, tmp_path):
+        spec = SuiteSpec.from_dict({
+            "schema": "repro.suite/v1", "name": "faulted", "seed": 0,
+            "campaigns": [{
+                "name": "chaos",
+                "scenarios": [{"experiment": "ber_sweep",
+                               "axes": {"samples": [2], "rates": [[0.0, 0.05]]}}],
+                "faults": json.loads(PLAN.to_json()),
+            }],
+            "services": [], "tunes": [], "kernel_profile": False,
+        })
+        result = SuiteRunner(spec, tmp_path / "out", cache=None).run()
+        assert result.ok, result.failures
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        buckets = report["campaigns"][0]["fault_buckets"]
+        assert sum(b["injections"] for b in buckets) > 0
+        assert sum(b["fault_journeys"] for b in buckets) > 0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Run an experiment campaign: parallel, cached, resumable.
+"""Run an experiment campaign: parallel, cached, journaled.
 
 The default campaign is the full paper regeneration (every table/figure
 at its EXPERIMENTS.md defaults, seed 0 — byte-identical to the serial
@@ -7,7 +7,7 @@ at its EXPERIMENTS.md defaults, seed 0 — byte-identical to the serial
 
     python scripts/run_campaign.py --jobs 4
     python scripts/run_campaign.py --jobs 2 --only table3 --only table1
-    python scripts/run_campaign.py --jobs 4 --resume      # finish a crashed run
+    python scripts/run_campaign.py --jobs 4      # again: finish a crashed run
 
 Custom sweeps come from a JSON matrix file (see docs/campaign.md):
 
@@ -16,8 +16,7 @@ Custom sweeps come from a JSON matrix file (see docs/campaign.md):
 The output directory receives:
 
 * ``experiments.md``  — every table, matrix order (the regenerate format);
-* ``manifest.jsonl``  — the ``repro.campaign/v1`` job journal (``--resume``
-  replays it);
+* ``manifest.jsonl``  — the ``repro.campaign/v1`` job journal;
 * ``metrics.jsonl``   — one merged ``repro.telemetry/v1`` artifact
   (per-job snapshots + campaign totals);
 * ``attribution.jsonl`` — one merged ``repro.attribution/v1`` artifact
@@ -26,9 +25,11 @@ The output directory receives:
 
 Results are served from the content-addressed cache when the same
 (experiment, kwargs, seed, code fingerprint) has already run; any source
-change invalidates the whole cache.  A failing job is retried with
-backoff, then recorded with its traceback — the campaign always runs to
-completion, and the exit code reports whether every job succeeded.
+change invalidates the whole cache.  Re-running the same command after a
+crash replays every finished job and runs the rest.  A failing job is
+retried with backoff, then recorded with its traceback — the campaign
+always runs to completion, and the exit code reports whether every job
+succeeded.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="always run every job; don't read or write the cache",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="replay completed jobs from the existing manifest + cache",
-    )
-    parser.add_argument(
         "--faults", default=None, metavar="FILE",
         help="fault plan JSON injected into fault-capable experiments "
              "(see docs/faults.md)",
@@ -110,13 +107,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="re-attempts per failing job (with exponential backoff)",
     )
     parser.add_argument(
-        "--fold-attribution", action="store_true",
-        help="merge per-worker stage summaries instead of retaining every "
-             "journey record (bounds attribution memory for very large sweeps, "
-             "not metric samples; folded percentiles are weighted "
-             "approximations)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true",
         help="also print every table to stdout",
     )
@@ -127,9 +117,6 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     if args.jobs < 1 or args.retries < 0:
         print("--jobs must be >= 1 and --retries >= 0", file=sys.stderr)
-        return 2
-    if args.resume and args.no_cache:
-        print("--resume needs the cache; drop --no-cache", file=sys.stderr)
         return 2
     try:
         plan = load_fault_plan(args.faults) if args.faults else None
@@ -154,11 +141,9 @@ def main(argv=None) -> int:
         params={"jobs": args.jobs, "seed": matrix.base_seed, "count": len(jobs)},
         workers=args.jobs,
         cache=None if args.no_cache else ResultCache(args.cache_dir),
-        resume=args.resume,
         timeout_s=args.timeout,
         retries=args.retries,
         base_seed=matrix.base_seed,
-        attribution_mode="summary" if args.fold_attribution else "journeys",
     )
 
     if args.verbose:

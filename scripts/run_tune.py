@@ -24,7 +24,7 @@ The output directory receives:
 Trials are served from the content-addressed cache when the same
 (config, workload, samples, depth, faults, seed, code fingerprint) has
 already run — re-running a finished spec is a near-total cache hit, and
-a killed run resumes mid-rung for free.
+re-running a killed one finishes it, replaying every finished trial.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def main(argv=None) -> int:
         workers=args.jobs,
         cache=cache,
         out_dir=args.out,
-        resume=cache is not None,
         timeout_s=args.timeout,
         retries=args.retries,
         faults=faults,

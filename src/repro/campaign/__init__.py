@@ -5,9 +5,10 @@ campaign: a declarative :class:`ScenarioMatrix` expands parameter grids
 into individually seeded :class:`CampaignJob`s, a :class:`CampaignRunner`
 executes them across a process pool with retries, per-job timeouts, and
 a content-addressed :class:`ResultCache`, and every completion is
-journaled to a JSONL manifest so a crashed or interrupted sweep resumes
-where it stopped.  Every job's counts and samples pool into one
-``repro.telemetry/v1`` artifact.
+journaled to a JSONL manifest.  Re-running a crashed or interrupted
+sweep with the same cache replays what finished and runs the rest.
+Every job's counts and samples pool into one ``repro.telemetry/v1``
+artifact, and its journeys into one ``repro.attribution/v1`` artifact.
 
     from repro.campaign import CampaignRunner, ResultCache, ScenarioMatrix
 
@@ -46,7 +47,6 @@ _EXPORTS = {
     "canonical_kwargs": ".matrix",
     "canonical_manifest": ".manifest",
     "code_fingerprint": ".cache",
-    "completed_job_ids": ".manifest",
     "execute_job": ".worker",
     "experiment_names": ".registry",
     "get_experiment": ".registry",

@@ -1,21 +1,19 @@
 """Content-addressed on-disk cache of experiment results.
 
 A cache entry's key is the SHA-256 of ``(experiment name, canonical
-kwargs, seed, attribution mode, code fingerprint)``.  The fingerprint
-hashes every ``repro`` source file, so *any* code change invalidates
-every entry — deliberately coarse: a stale table silently served after
-a model edit would poison EXPERIMENTS.md, while re-running a few
-minutes of simulation is cheap.  The attribution mode is part of the
-address because ``journeys`` and ``summary`` workers do different
-telemetry work and produce different artifact payloads.
+kwargs, seed, code fingerprint)``.  The fingerprint hashes every
+``repro`` source file, so *any* code change invalidates every entry —
+deliberately coarse: a stale table silently served after a model edit
+would poison EXPERIMENTS.md, while re-running a few minutes of
+simulation is cheap.
 
 An entry holds the *whole* job payload that
 :func:`~repro.campaign.worker.execute_job` returned — the result (the
 :class:`~repro.core.results.ResultTable` or tuple of tables exactly as
 the runner returned it) **plus** the metrics snapshot, the counts and
-samples the campaign's merged snapshot pools, and the attribution records
-and fault windows the traced run produced — less its wall-clock
-``duration_s``.  Caching only the result would make
+samples the campaign's merged snapshot pools, and the journey records,
+journey tracker counts and fault windows the traced run produced — less
+its wall-clock ``duration_s``.  Caching only the result would make
 warm re-runs lose their ``metrics.jsonl``/``attribution.jsonl``
 content, and a suite ``report.json`` built from a cache hit would
 differ from the run that populated the cache — the exact drift the
@@ -64,16 +62,13 @@ def code_fingerprint(package_root: Optional[str] = None) -> str:
     return fingerprint
 
 
-def job_key(
-    job: CampaignJob, fingerprint: Optional[str] = None,
-    mode: str = "journeys",
-) -> str:
-    """The content address of one job's payload under one attribution mode."""
+def job_key(job: CampaignJob, fingerprint: Optional[str] = None) -> str:
+    """The content address of one job's payload."""
     if fingerprint is None:
         fingerprint = code_fingerprint()
     material = "\0".join(
         [job.experiment, canonical_kwargs(job.kwargs_dict), str(job.seed),
-         mode, fingerprint]
+         fingerprint]
     )
     return hashlib.sha256(material.encode()).hexdigest()
 
@@ -91,16 +86,16 @@ class ResultCache:
         shard = self.directory / key[:2]
         return shard / f"{key}.pkl", shard / f"{key}.json"
 
-    def key_for(self, job: CampaignJob, mode: str = "journeys") -> str:
-        return job_key(job, self.fingerprint, mode=mode)
+    def key_for(self, job: CampaignJob) -> str:
+        return job_key(job, self.fingerprint)
 
-    def get(self, job: CampaignJob, mode: str = "journeys"):
+    def get(self, job: CampaignJob):
         """The cached payload, or None.  Corrupt entries count as misses.
 
         A replayed :class:`JobOutcome` holding it is artifact-identical to
         the run that populated the cache.
         """
-        path, _ = self._paths(self.key_for(job, mode))
+        path, _ = self._paths(self.key_for(job))
         try:
             with open(path, "rb") as fh:
                 entry = pickle.load(fh)
@@ -113,7 +108,7 @@ class ResultCache:
         self.hits += 1
         return entry
 
-    def put(self, job: CampaignJob, payload: dict, mode: str = "journeys") -> str:
+    def put(self, job: CampaignJob, payload: dict) -> str:
         """Store a job's payload, less ``duration_s``; returns the content
         key.
 
@@ -121,7 +116,7 @@ class ResultCache:
         writer can never leave a half-written entry that a later
         :meth:`get` would trust.
         """
-        key = self.key_for(job, mode)
+        key = self.key_for(job)
         entry = {k: v for k, v in payload.items() if k != "duration_s"}
         path, sidecar = self._paths(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -130,7 +125,6 @@ class ResultCache:
             "experiment": job.experiment,
             "kwargs": job.kwargs_dict,
             "seed": job.seed,
-            "mode": mode,
             "fingerprint": self.fingerprint,
             "job_id": job.job_id,
         }
@@ -151,8 +145,8 @@ class ResultCache:
                 pass
             raise
 
-    def contains(self, job: CampaignJob, mode: str = "journeys") -> bool:
-        path, _ = self._paths(self.key_for(job, mode))
+    def contains(self, job: CampaignJob) -> bool:
+        path, _ = self._paths(self.key_for(job))
         return path.exists()
 
     def entry_count(self) -> int:

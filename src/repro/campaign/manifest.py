@@ -1,8 +1,8 @@
-"""The campaign manifest: a JSONL journal enabling ``--resume``.
+"""The campaign manifest: a JSONL journal of what each job did.
 
 One ``campaign`` header record, then one ``job`` record per completed
-attempt, appended as jobs finish (the file is an append-only journal —
-a crash mid-campaign loses at most the in-flight jobs).  Schema::
+attempt, written as jobs finish and flushed per record (a crash
+mid-campaign loses at most the in-flight jobs).  Schema::
 
     {"schema": "repro.campaign/v1", "kind": "campaign", "base_seed": ...,
      "fingerprint": ..., "jobs": <total>}
@@ -11,10 +11,9 @@ a crash mid-campaign loses at most the in-flight jobs).  Schema::
      "status": "ok"|"failed", "source": "run"|"cache", "attempts": N,
      "duration_s": ..., "error": ...?, "traceback": ...?}
 
-Resume semantics: a job whose latest record is ``status="ok"`` is served
-from the result cache (same content key); anything failed, missing, or
-no longer cache-resident re-runs.  Records for jobs that are no longer
-in the matrix are ignored.
+Each run writes a fresh manifest.  Re-running a campaign with the same
+result cache is how an interrupted one finishes: every job that
+succeeded replays from the cache (source ``cache``) and the rest run.
 """
 
 from __future__ import annotations
@@ -69,12 +68,12 @@ def job_record(
 
 
 class ManifestWriter:
-    """Append-only JSONL writer, flushed per record."""
+    """JSONL writer, flushed per record."""
 
-    def __init__(self, path: str, append: bool = False):
+    def __init__(self, path: str):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a" if append else "w", encoding="utf-8")
+        self._fh = open(self.path, "w", encoding="utf-8")
 
     def write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, separators=(",", ":"), default=str))
@@ -96,8 +95,8 @@ class ManifestWriter:
 def read_manifest(path: str) -> List[dict]:
     """Every record of a manifest; missing file ⇒ empty, bad lines skipped.
 
-    Tolerating a torn final line matters: resume reads manifests written
-    right up to a crash.
+    Tolerating a torn final line matters: a manifest may have been
+    written right up to a crash.
     """
     records: List[dict] = []
     manifest = Path(path)
@@ -140,17 +139,3 @@ def canonical_manifest(records: List[dict]) -> List[dict]:
             jobs[record.get("job_id", "")] = cleaned
     out = [header] if header is not None else []
     return out + [jobs[jid] for jid in sorted(jobs)]
-
-
-def completed_job_ids(records: List[dict]) -> Dict[str, dict]:
-    """Map job_id -> latest ``status="ok"`` record (later records win)."""
-    done: Dict[str, dict] = {}
-    for record in records:
-        if record.get("kind") != "job":
-            continue
-        job_id = record.get("job_id")
-        if record.get("status") == "ok":
-            done[job_id] = record
-        else:
-            done.pop(job_id, None)
-    return done

@@ -14,9 +14,9 @@ completion:
   of the campaign completes regardless.  A per-job ``timeout_s`` marks a
   stuck job failed (its worker is abandoned to finish in the background
   — a process pool cannot preempt a running task);
-* **resumable** — every completion is journaled to a JSONL manifest;
-  ``resume=True`` replays ``status="ok"`` journal entries from cache and
-  re-runs only what is missing or failed.
+* **journaled** — every completion is recorded in a JSONL manifest.
+  Re-running a campaign with the same cache is how an interrupted one
+  finishes: what succeeded replays from the cache, the rest runs.
 
 Determinism: a job's seed is part of its identity (fixed at matrix
 expansion), so scheduling order, worker count, retries, and cache state
@@ -35,7 +35,6 @@ from ..errors import ConfigurationError
 from ..telemetry import (
     MetricsRegistry,
     fault_window_record,
-    fold_stage_summaries,
     merge_attribution,
     meta_record,
     result_record,
@@ -43,13 +42,7 @@ from ..telemetry import (
     write_jsonl,
 )
 from .cache import ResultCache
-from .manifest import (
-    ManifestWriter,
-    campaign_record,
-    completed_job_ids,
-    job_record,
-    read_manifest,
-)
+from .manifest import ManifestWriter, campaign_record, job_record
 from .matrix import CampaignJob
 from .registry import get_experiment
 from .worker import execute_job, tables_of
@@ -60,7 +53,7 @@ class JobOutcome:
     """What happened to one job: its payload, and how it was obtained."""
 
     job: CampaignJob
-    source: str                      # "run" | "cache" | "resume"
+    source: str                      # "run" | "cache"
     #: the dict :func:`~repro.campaign.worker.execute_job` returned, or
     #: the cache's copy of it (which has no ``duration_s``)
     payload: Dict[str, object]
@@ -108,7 +101,7 @@ class CampaignReport:
 
     @property
     def cache_hits(self) -> int:
-        return sum(1 for o in self.outcomes if o.source in ("cache", "resume"))
+        return sum(1 for o in self.outcomes if o.source == "cache")
 
     def tables(self) -> List:
         """Every ResultTable of every successful job, in matrix order."""
@@ -150,10 +143,8 @@ class CampaignReport:
         per-job journey and fault-window records merge deterministically —
         sources sorted by job id, records tagged with their source,
         summaries recomputed over the union — for any worker count or
-        completion order.  Campaigns run in summary attribution mode
-        carry per-worker ``stage_summary`` records instead of journeys;
-        those fold via :func:`fold_stage_summaries`, keeping the merge
-        memory bounded.
+        completion order.  Its meta record's ``dropped`` and ``abandoned``
+        sum the jobs' ``journeys_dropped`` and ``journeys_abandoned``.
         """
         out_dir = Path(out_dir)
         done = [(f"job:{o.job.job_id}", o.payload) for o in self.succeeded]
@@ -163,17 +154,16 @@ class CampaignReport:
         records.append(snapshot_record("merged", None, self.merged_metrics()))
         write_jsonl(out_dir / "metrics.jsonl", records)
 
-        folded = [(label, p["attribution_summaries"]) for label, p in done
-                  if p["attribution_summaries"]]
-        if folded and not any(p["attribution"] for _, p in done):
-            records = fold_stage_summaries(folded, name=name)
-        else:
-            sources = [
-                (label, p["attribution"]
-                 + [fault_window_record(w) for w in p["fault_windows"]])
-                for label, p in done
-            ]
-            records = merge_attribution([s for s in sources if s[1]], name=name)
+        sources = [
+            (label, p["attribution"]
+             + [fault_window_record(w) for w in p["fault_windows"]])
+            for label, p in done
+        ]
+        records = merge_attribution(
+            [s for s in sources if s[1]], name=name,
+            dropped=sum(p["journeys_dropped"] for _, p in done),
+            abandoned=sum(p["journeys_abandoned"] for _, p in done),
+        )
         write_jsonl(out_dir / "attribution.jsonl", records)
 
 
@@ -186,34 +176,23 @@ class CampaignRunner:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         manifest_path: Optional[str] = None,
-        resume: bool = False,
         timeout_s: Optional[float] = None,
         retries: int = 1,
         backoff_s: float = 0.25,
         base_seed: int = 0,
-        attribution_mode: str = "journeys",
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if resume and cache is None:
-            raise ValueError("resume requires a result cache to replay from")
-        if attribution_mode not in ("journeys", "summary"):
-            raise ValueError("attribution_mode must be 'journeys' or 'summary'")
         self.jobs = list(jobs)
         self.workers = workers
         self.cache = cache
         self.manifest_path = manifest_path
-        self.resume = resume
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
         self.base_seed = base_seed
-        #: "journeys" ships every journey record back for an exact merge;
-        #: "summary" reduces them in-worker (bounded merge memory, folded
-        #: percentiles — see ``fold_stage_summaries``)
-        self.attribution_mode = attribution_mode
 
     # -- execution ----------------------------------------------------------
 
@@ -222,19 +201,14 @@ class CampaignRunner:
         outcomes: Dict[CampaignJob, JobOutcome] = {}
         manifest = None
         if self.manifest_path:
-            previous = read_manifest(self.manifest_path) if self.resume else []
-            manifest = ManifestWriter(self.manifest_path, append=self.resume)
-            if not self.resume:
-                fingerprint = self.cache.fingerprint if self.cache else ""
-                manifest.write(campaign_record(self.base_seed, fingerprint, len(self.jobs)))
-            done_before = completed_job_ids(previous)
-        else:
-            done_before = {}
+            manifest = ManifestWriter(self.manifest_path)
+            fingerprint = self.cache.fingerprint if self.cache else ""
+            manifest.write(campaign_record(self.base_seed, fingerprint, len(self.jobs)))
 
         try:
             to_run: List[CampaignJob] = []
             for job in self.jobs:
-                outcome = self._try_replay(job, done_before)
+                outcome = self._try_replay(job)
                 if outcome is not None:
                     outcomes[job] = outcome
                     self._journal(manifest, outcome)
@@ -254,22 +228,16 @@ class CampaignRunner:
         ordered = [outcomes[job] for job in self.jobs]
         return CampaignReport(ordered, time.perf_counter() - t0, self.workers)
 
-    # -- cache / resume replay ----------------------------------------------
+    # -- cache replay -------------------------------------------------------
 
-    def _try_replay(self, job: CampaignJob, done_before: Dict[str, dict]):
-        """Serve a job from the cache.
-
-        A content-addressed hit is valid regardless of manifest state, so
-        resume mode only changes the reported source: jobs the journal
-        says completed are ``"resume"``, any other hit is ``"cache"``.
-        """
+    def _try_replay(self, job: CampaignJob) -> Optional[JobOutcome]:
+        """Serve a job from the cache (source ``"cache"``), or None."""
         if self.cache is None:
             return None
-        entry = self.cache.get(job, self.attribution_mode)
+        entry = self.cache.get(job)
         if entry is None:
             return None
-        source = "resume" if self.resume and job.job_id in done_before else "cache"
-        return JobOutcome(job, source, entry)
+        return JobOutcome(job, "cache", entry)
 
     # -- serial path --------------------------------------------------------
 
@@ -279,9 +247,7 @@ class CampaignRunner:
             attempt = 0
             while True:
                 attempt += 1
-                payload = execute_job(
-                    (job.experiment, job.kwargs, job.seed, self.attribution_mode)
-                )
+                payload = execute_job((job.experiment, job.kwargs, job.seed))
                 if payload["status"] == "ok" or attempt > self.retries:
                     break
                 time.sleep(self._backoff(attempt))
@@ -312,9 +278,7 @@ class CampaignRunner:
                 for job, attempt, not_before in queue:
                     if now >= not_before:
                         future = pool.submit(
-                            execute_job,
-                            (job.experiment, job.kwargs, job.seed,
-                             self.attribution_mode),
+                            execute_job, (job.experiment, job.kwargs, job.seed)
                         )
                         deadline = now + self.timeout_s if self.timeout_s else None
                         pending[future] = (job, attempt, deadline)
@@ -385,14 +349,13 @@ class CampaignRunner:
     def _finish(self, job: CampaignJob, payload: dict, attempts: int) -> JobOutcome:
         outcome = JobOutcome(job, "run", payload, attempts)
         if outcome.ok and self.cache is not None:
-            self.cache.put(job, payload, mode=self.attribution_mode)
+            self.cache.put(job, payload)
         return outcome
 
     def _journal(self, manifest, outcome: JobOutcome) -> None:
         if manifest is None:
             return
-        key = (self.cache.key_for(outcome.job, self.attribution_mode)
-               if self.cache else "")
+        key = self.cache.key_for(outcome.job) if self.cache else ""
         manifest.write(
             job_record(
                 outcome.job, key, outcome.status, outcome.source,

@@ -7,11 +7,13 @@ Each invocation imports its experiment's runner (see
 :class:`~repro.campaign.registry.ExperimentSpec`) before its clock starts,
 runs it under its own :class:`~repro.telemetry.TraceSession` and returns
 the job's **payload**, a plain dict: pickle-friendly tables, the final
-metrics snapshot and what pools across jobs, the attribution records,
-wall-clock duration, and (on failure) the formatted traceback.  The
-campaign keeps and caches the payload whole.  Exceptions never escape: a
-crashing experiment yields a ``status="failed"`` payload so the parent
-can retry or record it without losing the rest of the campaign.
+metrics snapshot and what pools across jobs, every journey record with
+the tracker's dropped and abandoned counts, the fault windows,
+wall-clock duration, and (on failure) the formatted traceback.  Every
+job has this one payload shape; the campaign keeps and caches it whole.
+Exceptions never escape: a crashing experiment yields a
+``status="failed"`` payload so the parent can retry or record it without
+losing the rest of the campaign.
 
 :func:`run_experiment` is the one-off counterpart for the CLIs: one named
 experiment under a session, its artifacts written, its exceptions raised.
@@ -25,7 +27,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry import TraceSession, meta_record, result_record
-from ..telemetry.attribution import stage_summary_records
 from .matrix import CampaignJob
 from .registry import get_experiment
 
@@ -77,17 +78,14 @@ def execute_job(message: Tuple[str, tuple, int]) -> Dict[str, object]:
     """Pool entry point: run one job, never raise; returns its payload.
 
     ``message`` is ``(experiment, kwargs_pairs, seed)`` — rather than a
-    :class:`CampaignJob` — so the pickled message stays a plain tuple.  An
-    optional fourth element selects the attribution mode: ``"journeys"``
-    (default — every journey record crosses back for an exact merge) or
-    ``"summary"`` (the journeys are reduced to ``stage_summary`` records
-    in-worker, so neither the pickle payload nor the parent's merge grows
-    with journey count — the bounded-memory path for very large sweeps).
-    Either way ``amounts`` carries every histogram sample, which the
+    :class:`CampaignJob` — so the pickled message stays a plain tuple.
+    The payload carries every journey record for the campaign's exact
+    attribution merge, the tracker's ``journeys_dropped`` (refused past
+    its cap) and ``journeys_abandoned`` (still in flight at the end), and
+    in ``amounts`` every counter total and histogram sample, which the
     campaign's ``merged`` snapshot pools.
     """
-    job = CampaignJob(*message[:3])
-    mode = message[3] if len(message) > 3 else "journeys"
+    job = CampaignJob(*message)
     try:
         # import the runner's module before the clock starts, so no
         # job's duration includes an import
@@ -101,20 +99,17 @@ def execute_job(message: Tuple[str, tuple, int]) -> Dict[str, object]:
         # boundary as plain dicts for campaign-level attribution merging)
         with TraceSession(f"campaign:{job.job_id}", max_events=0) as session:
             result = runner(**job.kwargs_dict, seed=job.seed)
-        if mode == "summary":
-            attribution: List[dict] = []
-            summaries = stage_summary_records(session.breakdown())
-        else:
-            attribution = session.journey_records()
-            summaries = []
+        tracker = session.journeys
         return {
             "status": "ok",
             "job_id": job.job_id,
             "result": result,
-            "metrics": session.registry.snapshot(),
+            # the "final" snapshot the session took on exit
+            "metrics": session.snapshots[-1]["metrics"],
             "amounts": session.registry.amounts(),
-            "attribution": attribution,
-            "attribution_summaries": summaries,
+            "attribution": session.journey_records(),
+            "journeys_dropped": tracker.dropped,
+            "journeys_abandoned": tracker.active_count,
             "fault_windows": session.fault_windows,
             "duration_s": time.perf_counter() - t0,
         }

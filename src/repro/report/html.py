@@ -75,8 +75,7 @@ def _campaign_html(campaign: dict) -> List[str]:
     parts = [f"<h2>Campaign: {_esc(campaign['name'])}</h2>"]
     parts.append(
         f'<p class="muted">{campaign["journeys"]} journeys across '
-        f'{len(campaign["scenarios"])} scenario(s)'
-        + (" (folded summaries)" if campaign.get("folded") else "") + "</p>"
+        f'{len(campaign["scenarios"])} scenario(s)</p>'
     )
     if campaign["end_to_end"]:
         parts.append("<h3>End-to-end latency (ns)</h3>")

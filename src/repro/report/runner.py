@@ -5,8 +5,8 @@ its standalone CLI uses — campaigns through
 :func:`~repro.campaign.run_campaign`, services through
 :class:`~repro.service.ServiceDriver`, tunes through
 :class:`~repro.tune.TuneDriver` — so a suite run is the same cached,
-resumable, worker-count-invariant execution, just orchestrated from one
-spec and folded into one report.
+worker-count-invariant execution, just orchestrated from one spec and
+folded into one report.
 
 Output layout under ``out_dir``::
 
@@ -138,7 +138,6 @@ class SuiteRunner:
             timeout_s=self.timeout_s,
             retries=self.retries,
             base_seed=matrix.base_seed,
-            attribution_mode="summary" if entry.fold_attribution else "journeys",
         )
         return [
             f"campaign {entry.name}: {o.job.job_id}: {o.error}"
@@ -171,7 +170,6 @@ class SuiteRunner:
             workers=self.jobs,
             cache=self.cache,
             out_dir=str(self.out_dir / f"tune-{entry.name}"),
-            resume=self.cache is not None,
             timeout_s=self.timeout_s,
             retries=self.retries,
             faults=entry.faults,

@@ -114,7 +114,6 @@ class CampaignEntry:
     only: Optional[Tuple[str, ...]] = None
     scenarios: Tuple[dict, ...] = ()
     faults: Optional[str] = None
-    fold_attribution: bool = False
 
     def matrix(self, seed: int) -> ScenarioMatrix:
         """Expandable matrix for this entry under the suite seed."""
@@ -277,8 +276,7 @@ def _entries(spec: Dict, section: str) -> List[dict]:
 
 
 def _campaign_entry(entry: dict, base: Optional[Path]) -> CampaignEntry:
-    unknown = set(entry) - {"name", "only", "scenarios", "faults",
-                            "fold_attribution"}
+    unknown = set(entry) - {"name", "only", "scenarios", "faults"}
     if unknown:
         raise ConfigurationError(
             f"unknown campaign fields: {', '.join(sorted(unknown))}"
@@ -310,7 +308,6 @@ def _campaign_entry(entry: dict, base: Optional[Path]) -> CampaignEntry:
         only=only,
         scenarios=tuple(scenarios or ()),
         faults=_load_faults(entry.get("faults"), base),
-        fold_attribution=bool(entry.get("fold_attribution", False)),
     )
 
 

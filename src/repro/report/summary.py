@@ -104,7 +104,6 @@ def _campaign_section(out_dir: Path, entry) -> dict:
         "name": entry.name,
         "journeys": meta.get("journeys", 0),
         "scenarios": meta.get("scenarios", []),
-        "folded": bool(meta.get("folded", False)),
         "end_to_end": end_to_end,
         "stages": stages,
         "fault_buckets": buckets,

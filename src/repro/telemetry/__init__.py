@@ -35,7 +35,6 @@ from .attribution import (
     LatencyBreakdown,
     OccupancySampler,
     fault_window_record,
-    fold_stage_summaries,
     journey_record,
     merge_attribution,
     occupancy_sources,
@@ -65,7 +64,6 @@ __all__ = [
     "bucket_of",
     "fault_window_record",
     "final_snapshot",
-    "fold_stage_summaries",
     "journey_record",
     "load_chrome_trace",
     "merge_attribution",

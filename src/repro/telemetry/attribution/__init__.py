@@ -23,7 +23,6 @@ from .artifact import (
     attribution_meta,
     fault_window_record,
     fault_window_records,
-    fold_stage_summaries,
     journey_record,
     journey_records,
     merge_attribution,
@@ -60,7 +59,6 @@ __all__ = [
     "attribution_meta",
     "fault_window_record",
     "fault_window_records",
-    "fold_stage_summaries",
     "journey_chrome_extras",
     "journey_record",
     "journey_records",

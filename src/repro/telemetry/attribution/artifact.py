@@ -159,7 +159,8 @@ def fault_window_records(records: Iterable[dict]) -> List[dict]:
 
 
 def merge_attribution(
-    sources: Iterable[Tuple[str, List[dict]]], name: str = "merged"
+    sources: Iterable[Tuple[str, List[dict]]], name: str = "merged",
+    dropped: int = 0, abandoned: int = 0,
 ) -> List[dict]:
     """Merge per-source journey and fault-window records into one stream.
 
@@ -167,7 +168,10 @@ def merge_attribution(
     job.  Output is deterministic for a given set of sources: sources
     sort by label, each journey and ``fault_window`` record gains a
     ``source`` field (windows follow every journey, in source order), and
-    summaries are recomputed over the union.
+    summaries are recomputed over the union.  ``dropped`` and
+    ``abandoned`` are the sources' journey totals the records cannot
+    show (refused past a tracker's cap, still in flight at its end); the
+    meta record carries them.
     """
     ordered: List[Tuple[str, List[dict]]] = sorted(sources, key=lambda s: s[0])
     merged: List[dict] = []
@@ -188,110 +192,13 @@ def merge_attribution(
     breakdown.add_records(merged)
     out = [
         attribution_meta(
-            name, len(merged), 0, 0, sorted(scenarios),
+            name, len(merged), dropped, abandoned, sorted(scenarios),
             sources=[label for label, _ in ordered],
         )
     ]
     out.extend(merged)
     out.extend(windows)
     out.extend(stage_summary_records(breakdown))
-    return out
-
-
-def fold_stage_summaries(
-    sources: Iterable[Tuple[str, List[dict]]], name: str = "merged"
-) -> List[dict]:
-    """Merge per-source ``stage_summary``/``end_to_end`` records directly.
-
-    The bounded-memory alternative to :func:`merge_attribution` for very
-    large sweeps: each worker reduces its journeys to summary records
-    in-process, and the campaign merge folds those — O(scenarios × stages)
-    per source — instead of retaining every journey record until the end.
-
-    Counts, means, minima/maxima, and shares merge exactly (weighted by
-    journey counts).  Percentiles are **not** mergeable from summaries, so
-    the folded ``p50/p95/p99`` are journey-count-weighted means of the
-    per-source percentiles — a documented approximation, flagged with
-    ``"folded": true`` on every output record.  The fold is deterministic:
-    sources sort by label, scenarios and stages sort lexically.
-    """
-    ordered = sorted(sources, key=lambda s: s[0])
-    e2e: Dict[str, dict] = {}
-    stages: Dict[Tuple[str, str], dict] = {}
-    for _, records in ordered:
-        by_scenario = {
-            r["scenario"]: r for r in records if r.get("kind") == "end_to_end"
-        }
-        for record in records:
-            scenario = record.get("scenario", "")
-            if record.get("kind") == "end_to_end":
-                n = record["journeys"]
-                acc = e2e.setdefault(scenario, {
-                    "journeys": 0, "mean": 0.0, "min": None, "max": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0,
-                })
-                acc["journeys"] += n
-                acc["mean"] += record["mean_ps"] * n
-                low = record["min_ps"]
-                acc["min"] = low if acc["min"] is None else min(acc["min"], low)
-                acc["max"] = max(acc["max"], record["max_ps"])
-                for q in ("p50", "p95", "p99"):
-                    acc[q] += record[f"{q}_ps"] * n
-            elif record.get("kind") == "stage_summary":
-                # mean_ps is per-scenario-journey (zero-filled), so the
-                # stage's total time is mean × the source's journey count
-                n = by_scenario[scenario]["journeys"]
-                acc = stages.setdefault((scenario, record["stage"]), {
-                    "stage_kind": record["stage_kind"], "count": 0,
-                    "journeys": 0, "total": 0.0, "max": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0,
-                })
-                acc["count"] += record["count"]
-                acc["journeys"] += n
-                acc["total"] += record["mean_ps"] * n
-                acc["max"] = max(acc["max"], record["max_ps"])
-                for q in ("p50", "p95", "p99"):
-                    acc[q] += record[f"{q}_ps"] * record["count"]
-
-    out = [
-        attribution_meta(
-            name,
-            sum(acc["journeys"] for acc in e2e.values()),
-            0, 0, sorted(e2e),
-            sources=[label for label, _ in ordered],
-            folded=True,
-        )
-    ]
-    for scenario in sorted(e2e):
-        acc = e2e[scenario]
-        n = acc["journeys"] or 1
-        out.append({
-            "schema": ATTRIBUTION_SCHEMA,
-            "kind": "end_to_end",
-            "scenario": scenario,
-            "folded": True,
-            "journeys": acc["journeys"],
-            "mean_ps": acc["mean"] / n,
-            "min_ps": acc["min"] or 0.0,
-            "max_ps": acc["max"],
-            **{f"{q}_ps": acc[q] / n for q in ("p50", "p95", "p99")},
-        })
-    for scenario, stage in sorted(stages):
-        acc = stages[(scenario, stage)]
-        scenario_total = e2e[scenario]["mean"]  # already Σ mean×journeys
-        out.append({
-            "schema": ATTRIBUTION_SCHEMA,
-            "kind": "stage_summary",
-            "scenario": scenario,
-            "folded": True,
-            "stage": stage,
-            "stage_kind": acc["stage_kind"],
-            "count": acc["count"],
-            "mean_ps": acc["total"] / (acc["journeys"] or 1),
-            **{f"{q}_ps": acc[q] / (acc["count"] or 1) for q in ("p50", "p95", "p99")},
-            "max_ps": acc["max"],
-            "share": acc["total"] / scenario_total if scenario_total else 0.0,
-        })
     return out
 
 

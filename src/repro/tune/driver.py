@@ -4,8 +4,9 @@ Each searcher batch becomes a list of ``tune_trial`` campaign jobs, so a
 tuning run inherits the whole campaign contract: process-pool
 parallelism, retry/timeout, content-addressed caching, and a JSONL
 manifest per rung (``manifest-rung<r>.jsonl``).  Re-running a spec is a
-near-total cache hit; killing a run mid-rung and re-running resumes it —
+near-total cache hit; re-running one killed mid-rung finishes it —
 finished trials replay from the cache, only the missing ones execute.
+Every trial's journeys merge into one exact ``attribution.jsonl``.
 
 Every trial runs under the *same* seed (common random numbers): configs
 at a given rung see the identical operation stream, so tail-latency
@@ -147,7 +148,6 @@ class TuneDriver:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         out_dir: Optional[str] = None,
-        resume: bool = False,
         timeout_s: Optional[float] = None,
         retries: int = 1,
         faults: Optional[str] = None,
@@ -157,7 +157,6 @@ class TuneDriver:
         self.workers = workers
         self.cache = cache
         self.out_dir = Path(out_dir) if out_dir else None
-        self.resume = resume and cache is not None
         self.timeout_s = timeout_s
         self.retries = retries
         self.faults = faults
@@ -200,23 +199,14 @@ class TuneDriver:
                 if self.out_dir
                 else None
             )
-            resume = (
-                self.resume
-                and manifest is not None
-                and Path(manifest).exists()
-            )
             runner = CampaignRunner(
                 jobs,
                 workers=self.workers,
                 cache=self.cache,
                 manifest_path=manifest,
-                resume=resume,
                 timeout_s=self.timeout_s,
                 retries=self.retries,
                 base_seed=self.seed,
-                # trials fold their journeys in-worker: a search keeps
-                # stage summaries, never every journey of every trial
-                attribution_mode="summary",
             )
             report = runner.run()
             results: Dict[str, Optional[Dict[str, float]]] = {}

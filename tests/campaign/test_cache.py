@@ -33,13 +33,6 @@ class TestKeying:
     def test_key_changes_with_code_fingerprint(self):
         assert job_key(JOB, "fp-a") != job_key(JOB, "fp-b")
 
-    def test_key_changes_with_attribution_mode(self):
-        # journeys-mode and summary-mode workers produce different
-        # artifact payloads; they must not share a content address
-        assert job_key(JOB, "fp", mode="journeys") != job_key(
-            JOB, "fp", mode="summary"
-        )
-
     def test_fingerprint_tracks_source_content(self, tmp_path):
         (tmp_path / "mod.py").write_text("A = 1\n")
         fp1 = code_fingerprint(str(tmp_path))
@@ -73,21 +66,13 @@ class TestStore:
             "status": "ok", "result": echo_table(1), "metrics": {"m": 1},
             "amounts": {"m": 1, "h": [3, 1, 2]},
             "attribution": [{"kind": "journey", "jid": 1}],
-            "attribution_summaries": [{"kind": "stage_summary"}],
+            "journeys_dropped": 0, "journeys_abandoned": 1,
             "fault_windows": [{"label": "drop", "start_ps": 0, "end_ps": 5}],
             "duration_s": 0.25,
         }
         cache.put(JOB, payload)
         hit = cache.get(JOB)
         assert hit == {k: v for k, v in payload.items() if k != "duration_s"}
-
-    def test_modes_do_not_share_entries(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="fp")
-        cache.put(JOB, {"result": echo_table(1)}, mode="summary")
-        assert cache.get(JOB, mode="journeys") is None
-        assert cache.get(JOB, mode="summary")["result"] == echo_table(1)
-        assert cache.contains(JOB, mode="summary")
-        assert not cache.contains(JOB, mode="journeys")
 
     def test_miss_on_changed_kwargs_seed_or_code(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
@@ -116,11 +101,10 @@ class TestStore:
         cache = ResultCache(tmp_path, fingerprint="fp")
         key = cache.put(JOB, {"result": echo_table(1)})
         meta = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())
-        assert meta["experiment"] == "_selftest_echo"
-        assert meta["kwargs"] == {"value": 1}
-        assert meta["seed"] == 0
-        assert meta["mode"] == "journeys"
-        assert meta["fingerprint"] == "fp"
+        assert meta == {
+            "experiment": "_selftest_echo", "kwargs": {"value": 1}, "seed": 0,
+            "fingerprint": "fp", "job_id": JOB.job_id,
+        }
 
     def test_entry_count(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")

@@ -1,11 +1,10 @@
-"""CampaignRunner semantics: parallel=serial, faults, retries, resume.
+"""CampaignRunner semantics: parallel=serial, faults, retries, re-runs.
 
 Failure-path tests use the hidden ``_selftest_*`` registry fixtures —
 real experiments that misbehave on demand and are importable inside
 worker processes.
 """
 
-import json
 import tempfile
 
 import pytest
@@ -19,7 +18,7 @@ from repro.campaign import (
     JobOutcome,
     ResultCache,
     ScenarioMatrix,
-    completed_job_ids,
+    execute_job,
     read_manifest,
 )
 from repro.telemetry import MetricsRegistry, read_jsonl
@@ -62,6 +61,15 @@ class TestExecution:
         report = CampaignRunner(jobs, workers=2).run()
         (table,) = report.tables()
         assert table.rows[0] == [7, jobs[0].seed]
+
+    def test_every_job_returns_one_payload_shape(self):
+        (job,) = echo_matrix([1]).expand()
+        payload = execute_job((job.experiment, job.kwargs, job.seed))
+        assert set(payload) == {
+            "status", "job_id", "result", "metrics", "amounts", "attribution",
+            "journeys_dropped", "journeys_abandoned", "fault_windows",
+            "duration_s",
+        }
 
     def test_outcomes_carry_worker_metrics(self):
         jobs = ScenarioMatrix.paper(only=["table3"]).expand()
@@ -106,8 +114,6 @@ class TestExecution:
             CampaignRunner([], workers=0)
         with pytest.raises(ValueError):
             CampaignRunner([], retries=-1)
-        with pytest.raises(ValueError):
-            CampaignRunner([], resume=True, cache=None)
 
 
 class TestCacheIntegration:
@@ -151,37 +157,30 @@ class TestManifestAndResume:
         assert set(by_id) == {j.job_id for j in matrix.expand()}
 
     def test_resume_completes_artificially_failed_job(self, tmp_path):
-        # satellite: --resume finishes a manifest holding one failed job
-        jobs = echo_matrix([1, 2]).expand()
+        # re-running with the same cache finishes a campaign whose second
+        # job failed: the first replays, only the failed one runs again
+        matrix = echo_matrix([1])
+        matrix.add("_selftest_fail")
+        jobs = matrix.expand()
         manifest = tmp_path / "manifest.jsonl"
         cache_dir = tmp_path / "cache"
-        CampaignRunner(
-            jobs, workers=1, cache=ResultCache(cache_dir),
+        first = CampaignRunner(
+            jobs, workers=1, retries=0, cache=ResultCache(cache_dir),
             manifest_path=str(manifest),
         ).run()
-
-        # artificially fail the second job: journal a failed record and
-        # evict its cached result, as if the worker died mid-campaign
-        victim = jobs[1]
-        key = ResultCache(cache_dir).key_for(victim)
-        with open(manifest, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "schema": "repro.campaign/v1", "kind": "job",
-                "job_id": victim.job_id, "status": "failed",
-                "source": "run", "attempts": 1,
-            }) + "\n")
-        (cache_dir / key[:2] / f"{key}.pkl").unlink()
+        assert [o.ok for o in first.outcomes] == [True, False]
 
         report = CampaignRunner(
-            jobs, workers=1, cache=ResultCache(cache_dir),
-            manifest_path=str(manifest), resume=True,
+            jobs, workers=1, retries=0, cache=ResultCache(cache_dir),
+            manifest_path=str(manifest),
         ).run()
-        assert not report.failed
         sources = {o.job.job_id: o.source for o in report.outcomes}
-        assert sources[jobs[0].job_id] == "resume"   # replayed, not re-run
-        assert sources[victim.job_id] == "run"       # actually re-executed
-        done = completed_job_ids(read_manifest(str(manifest)))
-        assert set(done) == {j.job_id for j in jobs}
+        assert sources[jobs[0].job_id] == "cache"   # replayed, not re-run
+        assert sources[jobs[1].job_id] == "run"     # actually re-executed
+        records = read_manifest(str(manifest))
+        # each run writes its own manifest: one header, one record per job
+        assert [r["kind"] for r in records] == ["campaign", "job", "job"]
+        assert [r["source"] for r in records[1:]] == ["cache", "run"]
 
     def test_resume_ignores_stale_manifest_entries(self, tmp_path):
         # ok in the manifest but evicted from cache ⇒ must re-run
@@ -195,7 +194,7 @@ class TestManifestAndResume:
         (tmp_path / "cache" / key[:2] / f"{key}.pkl").unlink()
         report = CampaignRunner(
             jobs, workers=1, cache=ResultCache(tmp_path / "cache"),
-            manifest_path=str(manifest), resume=True,
+            manifest_path=str(manifest),
         ).run()
         assert report.outcomes[0].source == "run"
         assert report.outcomes[0].ok

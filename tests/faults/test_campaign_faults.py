@@ -4,6 +4,7 @@ artifacts regardless of worker count (the ISSUE's byte-identity bar)."""
 import json
 
 from repro.campaign import (
+    ResultCache,
     ScenarioMatrix,
     apply_fault_plan,
     canonical_manifest,
@@ -79,6 +80,24 @@ class TestWorkerCountInvariance:
         assert windows == [
             {**fault_window_record(w), "source": f"job:{job.job_id}"} for w in own
         ]
+
+
+class TestJourneyCounts:
+    def test_merged_meta_counts_abandoned_journeys(self, tmp_path):
+        # CI's chaos campaign: its one job ends with a journey in flight
+        plan = FaultPlan(name="ci-smoke", specs=PLAN.specs).to_json()
+        matrix = ScenarioMatrix(base_seed=0)
+        matrix.add("ber_sweep", samples=[4], rates=[(0.0, 0.05)])
+        jobs = apply_fault_plan(matrix.expand(), plan)
+        cache = ResultCache(tmp_path / "cache")
+        for tag, workers in (("cold", 1), ("warm", 2)):
+            report = run_campaign(jobs, tmp_path / tag, params={},
+                                  workers=workers, cache=cache)
+            meta = read_attribution(tmp_path / tag / "attribution.jsonl")[0]
+            assert (meta["dropped"], meta["abandoned"]) == (0, 1)
+            (outcome,) = report.outcomes
+            assert outcome.payload["journeys_abandoned"] == 1
+        assert outcome.source == "cache"
 
 
 class TestSuiteFaultBuckets:

@@ -28,7 +28,6 @@ CASES = {
     "regenerate-jobs-0": ["regenerate_experiments.py", "--jobs", "0"],
     "suite-jobs-0": ["run_suite.py", SUITE, "--jobs", "0"],
     "service-shards-0": ["run_service.py", "--schedule", SCHEDULE, "--shards", "0"],
-    "campaign-resume-no-cache": ["run_campaign.py", "--resume", "--no-cache"],
     "campaign-retries-negative": ["run_campaign.py", "--retries", "-1"],
     "tune-retries-negative": ["run_tune.py", SPEC, "--retries", "-1"],
     "suite-retries-negative": ["run_suite.py", SUITE, "--retries", "-1"],

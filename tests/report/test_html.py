@@ -13,7 +13,6 @@ def report():
             "name": "c",
             "journeys": 10,
             "scenarios": ["table3"],
-            "folded": False,
             "end_to_end": [{
                 "scenario": "table3", "journeys": 10, "mean_ps": 1000.0,
                 "p50_ps": 900.0, "p95_ps": 1800.0, "p99_ps": 2000.0,

@@ -64,7 +64,7 @@ class TestMergedSnapshot:
 class TestHtmlSections:
     def _campaign(self, **extra):
         campaign = {
-            "name": "c", "journeys": 4, "scenarios": ["s"], "folded": False,
+            "name": "c", "journeys": 4, "scenarios": ["s"],
             "end_to_end": [], "stages": [], "fault_buckets": [],
         }
         campaign.update(extra)

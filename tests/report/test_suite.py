@@ -109,6 +109,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="unknown experiments"):
             SuiteSpec.from_dict(bad)
 
+    def test_campaign_attribution_field_rejected(self):
+        # a campaign has one attribution form; the old switch is refused
+        # by name rather than silently ignored
+        bad = spec_dict()
+        bad["campaigns"][0]["fold_attribution"] = True
+        with pytest.raises(ConfigurationError,
+                           match="unknown campaign fields: fold_attribution"):
+            SuiteSpec.from_dict(bad)
+
     def test_kernel_profile_false_disables_pass(self):
         spec = SuiteSpec.from_dict(spec_dict(kernel_profile=False))
         assert spec.profile_job() is None

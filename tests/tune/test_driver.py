@@ -1,12 +1,15 @@
-"""The tune driver end to end: determinism, caching, mid-run resume.
+"""The tune driver end to end: determinism, caching, cached re-runs.
 
 These boot real (small) simulated systems per trial, so the spec is kept
 tiny: five configs at rung 0, two survivors at rung 1.
 """
 
 import json
+from collections import Counter
 
 from repro.campaign import ResultCache
+from repro.telemetry import read_attribution
+from repro.telemetry.attribution import journey_records
 from repro.tune import TuneDriver, TuneSpec
 
 SPEC_RAW = {
@@ -25,11 +28,11 @@ SPEC_RAW = {
 SEED = 7
 
 
-def run(tmp_path, sub, workers, cache=None, raw=SPEC_RAW, resume=False):
+def run(tmp_path, sub, workers, cache=None, raw=SPEC_RAW):
     out = tmp_path / sub
     report = TuneDriver(
         TuneSpec.from_dict(raw), seed=SEED, workers=workers,
-        cache=cache, out_dir=str(out), resume=resume,
+        cache=cache, out_dir=str(out),
     ).run()
     return report, out
 
@@ -67,14 +70,27 @@ class TestDriver:
         assert (out / "pareto.jsonl").read_bytes() == \
             (fresh_out / "pareto.jsonl").read_bytes()
 
-    def test_manifest_resume_skips_reexecution(self, tmp_path):
+    def test_attribution_holds_every_trial_journey(self, tmp_path):
+        # the exact merge of every trial's journeys, whatever the worker
+        # count or cache state
         cache = ResultCache(str(tmp_path / "cache"))
-        _, out = run(tmp_path, "first", workers=2, cache=cache)
-        again, _ = TuneDriver(
-            TuneSpec.from_dict(SPEC_RAW), seed=SEED, workers=2,
-            cache=cache, out_dir=str(out), resume=True,
-        ).run(), out
-        assert again.cache_hits == again.jobs
+        cold, out1 = run(tmp_path, "w1", workers=1, cache=cache)
+        _, out3 = run(tmp_path, "w3", workers=3)
+        warm, out_warm = run(tmp_path, "warm", workers=1, cache=cache)
+        assert warm.cache_hits == warm.jobs
+        artifact = (out1 / "attribution.jsonl").read_bytes()
+        assert artifact == (out3 / "attribution.jsonl").read_bytes()
+        assert artifact == (out_warm / "attribution.jsonl").read_bytes()
+
+        records = read_attribution(out1 / "attribution.jsonl")
+        meta = records[0]
+        per_trial = {f"job:{o.job.job_id}": len(o.payload["attribution"])
+                     for o in cold.campaign.outcomes}
+        assert meta["sources"] == sorted(per_trial)
+        assert all(per_trial.values())
+        journeys = journey_records(records)
+        assert len(journeys) == meta["journeys"] == sum(per_trial.values())
+        assert Counter(j["source"] for j in journeys) == per_trial
 
     def test_report_fields(self, tmp_path):
         report, out = run(tmp_path, "fields", workers=2)

@@ -4,28 +4,25 @@
 A schedule file describes offered load over time (see docs/service.md):
 
     python scripts/run_service.py --schedule schedules/flashcrowd.json
-    python scripts/run_service.py --schedule s.json --shards 4 --repetitions 3
+    python scripts/run_service.py --schedule s.json --repetitions 3
     python scripts/run_service.py --schedule s.json --faults plan.json
 
-The run is two campaign phases.  First a single **calibration job**
-measures every request class the schedule references — one shared
-artifact per invocation, instead of every (repetition, shard) job
-re-running the simulator for the same profiles.  Then each
-(repetition, shard) runs as a campaign job — cached, retried,
-manifest-journaled like any sweep — carrying the calibration artifact
-in its kwargs, so the result cache keys on profile content.  The parent
-merges the shard demand tables, replays the bounded-queue service loop
-over the globally ordered stream, and writes to ``--out``:
+The run is one campaign job and a replay.  The **calibration job**
+measures every request class the schedule references; it is cached and
+journaled like any campaign job, and it is the run's only simulator
+work.  Then, for each repetition, this process generates the arrivals,
+draws every request's service demand from the calibrated profiles,
+replays the bounded-queue service loop over the stream, and writes to
+``--out``:
 
 * ``run_table.csv``    — one row per (run, repetition, window);
 * ``run_table.jsonl``  — the same grid as ``repro.service/v1`` records;
-* ``metrics.jsonl``    — merged telemetry of every executed job;
-* ``attribution.jsonl``— merged latency attribution of the calibration;
-* ``manifest.jsonl``   — the shard job journal;
-* ``calib-manifest.jsonl`` — the calibration job journal.
+* ``metrics.jsonl``    — telemetry of the calibration job;
+* ``attribution.jsonl``— latency attribution of the calibration;
+* ``manifest.jsonl``   — the calibration job journal.
 
-The run table never depends on ``--shards``: the same schedule and seed
-reproduce it byte for byte at any shard count.
+The same schedule and seed reproduce the run table byte for byte, with a
+cold or a warm cache.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro.campaign import ResultCache
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.report import load_fault_plan
 from repro.service import ArrivalSchedule, ServiceDriver
 
@@ -45,10 +42,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--schedule", required=True, metavar="FILE",
         help="arrival-schedule JSON (docs/service.md)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="campaign workers the demand stream splits across",
     )
     parser.add_argument(
         "--repetitions", type=int, default=1, metavar="N",
@@ -77,7 +70,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="always run every shard job; don't read or write the cache",
+        help="always run the calibration job; don't read or write the cache",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
@@ -95,8 +88,8 @@ def main(argv=None) -> int:
     except (OSError, ConfigurationError) as exc:
         print(f"schedule: {exc}", file=sys.stderr)
         return 2
-    if args.shards < 1 or args.repetitions < 1:
-        print("--shards and --repetitions must be >= 1", file=sys.stderr)
+    if args.repetitions < 1 or args.calib_samples < 1:
+        print("--repetitions and --calib-samples must be >= 1", file=sys.stderr)
         return 2
 
     faults = None
@@ -112,18 +105,13 @@ def main(argv=None) -> int:
         schedule,
         out_dir=out_dir,
         seed=args.seed,
-        shards=args.shards,
         repetitions=args.repetitions,
         calib_samples=args.calib_samples,
         faults=faults,
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         timeout_s=args.timeout,
     )
-    try:
-        result = driver.run()
-    except ReproError as exc:
-        print(f"merge: {exc}", file=sys.stderr)
-        return 1
+    result = driver.run()
     if result.failed:
         for outcome in result.failed:
             print(f"FAILED {outcome.job.job_id}: {outcome.error}",
@@ -132,7 +120,6 @@ def main(argv=None) -> int:
 
     print(result.render())
     print(f"calibration: {result.calib_report.summary()}", file=sys.stderr)
-    print(f"campaign: {result.shard_report.summary()}", file=sys.stderr)
     print(f"wrote {out_dir / 'run_table.csv'}", file=sys.stderr)
     return 0
 

@@ -91,19 +91,11 @@ _SPECS: List[ExperimentSpec] = [
                    {"policy": "clock", "workload": "graph", "ops": 96,
                     "depth": 4},
                    paper=False, supports_faults=True, size_knob="ops"),
-    # service-mode shard worker (docs/service.md) — scheduled by
-    # scripts/run_service.py, one job per (repetition, shard); hidden
-    # because a lone shard is half a result (the merge computes queueing)
+    # service calibration (docs/service.md) — the one job of a
+    # run_service.py invocation; every repetition draws its demands from
+    # the profiles in its table
     ExperimentSpec(
-        "service_shard", "repro.service.shard:run_service_shard",
-        {"schedule": "", "shard": 0, "shards": 1, "repetition": 0},
-        hidden=True, paper=False,
-    ),
-    # shared service calibration (docs/service.md) — one job per
-    # run_service.py invocation; its table becomes the profiles artifact
-    # every (repetition, shard) job reuses
-    ExperimentSpec(
-        "service_calibrate", "repro.service.shard:run_service_calibrate",
+        "service_calibrate", "repro.service.classes:run_service_calibrate",
         {"classes": "", "calib_samples": 24},
         hidden=True, paper=False, supports_faults=True,
         size_knob="calib_samples",

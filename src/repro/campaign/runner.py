@@ -11,9 +11,10 @@ completion:
   stored result is served without running;
 * **fault-tolerant** — a failing job is retried up to ``retries`` times
   with exponential backoff, then recorded with its traceback; the rest
-  of the campaign completes regardless.  A per-job ``timeout_s`` marks a
-  stuck job failed (its worker is abandoned to finish in the background
-  — a process pool cannot preempt a running task);
+  of the campaign completes regardless.  A job that runs past the
+  per-job ``timeout_s`` is failed the same way on both paths — neither
+  can preempt a running job: the pool abandons its worker to finish in
+  the background, and the inline path judges the job when it returns;
 * **journaled** — every completion is recorded in a JSONL manifest.
   Re-running a campaign with the same cache is how an interrupted one
   finishes: what succeeded replays from the cache, the rest runs.
@@ -248,6 +249,8 @@ class CampaignRunner:
             while True:
                 attempt += 1
                 payload = execute_job((job.experiment, job.kwargs, job.seed))
+                if self.timeout_s and payload["duration_s"] > self.timeout_s:
+                    payload = self._timed_out()
                 if payload["status"] == "ok" or attempt > self.retries:
                     break
                 time.sleep(self._backoff(attempt))
@@ -323,16 +326,10 @@ class CampaignRunner:
                     pending.pop(future)
                     if not future.cancel():
                         abandoned = True
-                    payload = {
-                        "status": "failed",
-                        "error": f"TimeoutError: exceeded {self.timeout_s}s",
-                        "traceback": None,
-                        "duration_s": self.timeout_s,
-                    }
                     if attempt <= self.retries:
                         queue.append((job, attempt + 1, now + self._backoff(attempt)))
                     else:
-                        outcome = self._finish(job, payload, attempt)
+                        outcome = self._finish(job, self._timed_out(), attempt)
                         outcomes[job] = outcome
                         self._journal(manifest, outcome)
         finally:
@@ -345,6 +342,15 @@ class CampaignRunner:
 
     def _backoff(self, attempt: int) -> float:
         return self.backoff_s * (2 ** (attempt - 1))
+
+    def _timed_out(self) -> dict:
+        """The failed payload of a job that ran past ``timeout_s``."""
+        return {
+            "status": "failed",
+            "error": f"TimeoutError: exceeded {self.timeout_s}s",
+            "traceback": None,
+            "duration_s": self.timeout_s,
+        }
 
     def _finish(self, job: CampaignJob, payload: dict, attempts: int) -> JobOutcome:
         outcome = JobOutcome(job, "run", payload, attempts)

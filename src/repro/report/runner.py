@@ -6,7 +6,8 @@ its standalone CLI uses — campaigns through
 :class:`~repro.service.ServiceDriver`, tunes through
 :class:`~repro.tune.TuneDriver` — so a suite run is the same cached,
 worker-count-invariant execution, just orchestrated from one spec and
-folded into one report.
+folded into one report.  ``--jobs`` sets the worker count of campaigns
+and tunes; a service runs its one calibration job inline.
 
 Output layout under ``out_dir``::
 
@@ -151,7 +152,6 @@ class SuiteRunner:
             entry.schedule,
             out_dir=self.out_dir / f"service-{entry.name}",
             seed=self.spec.seed,
-            shards=self.jobs,
             repetitions=entry.repetitions,
             calib_samples=entry.calib_samples,
             faults=entry.faults,

@@ -10,18 +10,17 @@ a bounded queue onto ``c`` servers, shedding what will not fit; and a
 **run table** reports offered vs achieved throughput, latency
 percentiles, shed rate, and occupancy per time window.
 
-Execution shards across campaign workers (one job per repetition ×
-shard) and merges exactly — the same schedule and seed produce
-byte-identical run tables for any shard count.  ``scripts/
-run_service.py`` is the CLI; the format and column reference live in
-``docs/service.md``.
+A run is one cached campaign job — the calibration, its only simulator
+work — and then, in-process, one demand draw and service-loop replay
+per repetition; the same schedule and seed produce byte-identical run
+tables, cold or warm.  ``scripts/run_service.py`` is the CLI; the format
+and column reference live in ``docs/service.md``.
 """
 
 from .._lazy import lazy_exports
 
 #: public name -> submodule imported on first access (PEP 562): the CLI
-#: and the driver that fold profiles and merge shards load no simulator;
-#: only calibration and the shard workers do
+#: and the driver load no simulator; only the calibration job does
 _EXPORTS = {
     "Arrival": ".schedule",
     "ArrivalSchedule": ".schedule",
@@ -34,7 +33,6 @@ _EXPORTS = {
     "RUN_TABLE_COLUMNS": ".table",
     "RequestOutcome": ".loop",
     "SERVICE_SCHEMA": ".schedule",
-    "SHARD_COLUMNS": ".shard",
     "SYSTEM_CLASSES": ".classes",
     "ServiceDriver": ".driver",
     "ServiceLoop": ".loop",
@@ -42,21 +40,17 @@ _EXPORTS = {
     "ServiceResult": ".driver",
     "Tenant": ".schedule",
     "calibrate": ".classes",
-    "calibrate_classes": ".shard",
-    "calibration_seed": ".shard",
-    "demand_stream": ".table",
-    "draw_demand": ".shard",
+    "calibrate_classes": ".classes",
+    "calibration_seed": ".classes",
+    "draw_demand": ".profile",
     "generate_arrivals": ".schedule",
-    "merge_shard_demands": ".table",
-    "profiles_from_json": ".profile",
     "profiles_from_table": ".profile",
-    "profiles_to_json": ".profile",
     "render_run_table_csv": ".table",
     "render_summary": ".table",
     "rep_seed": ".schedule",
+    "repetition_rows": ".driver",
     "run_service": ".loop",
-    "run_service_calibrate": ".shard",
-    "run_service_shard": ".shard",
+    "run_service_calibrate": ".classes",
     "run_table_columns": ".table",
     "run_table_records": ".table",
     "window_rows": ".table",

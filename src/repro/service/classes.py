@@ -10,10 +10,10 @@ distribution — including tail samples and, when a fault plan is
 installed, degraded and failed operations.
 
 Determinism contract: :func:`calibrate` is a pure function of
-``(klass, samples, seed, fault plan)``.  The shard runner derives the
-calibration seed from the repetition seed and the class name only —
-never from the shard index — so every shard of a sharded run computes
-byte-identical profiles and the merged run table is shard-invariant.
+``(klass, samples, seed, fault plan)``.  A service run calibrates once
+(:func:`run_service_calibrate`), seeding each class from the run seed
+and the class name only (:func:`calibration_seed`), so one calibration
+serves every repetition.
 
 Classes
 -------
@@ -39,8 +39,9 @@ with no system to inject into, so a plan leaves them untouched.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from ..core.results import ResultTable
 from ..core.system import CardSpec, ContuttoSystem
 from ..errors import ConfigurationError, SimulationError, StorageError
 from ..faults import FaultController, FaultPlan
@@ -50,7 +51,7 @@ from ..storage import NVRAM_PCIE, DirectStore, PcieAttachedStore
 from ..telemetry import probe
 from ..units import CACHE_LINE_BYTES, MIB
 from ..workloads import GpfsJob, GpfsWriter, TraceSpec, pointer_chase
-from .profile import ServiceProfile
+from .profile import CALIBRATION_COLUMNS, ServiceProfile
 
 #: every request class a schedule's tenants may reference
 REQUEST_CLASSES = (
@@ -191,3 +192,65 @@ def calibrate(
     if klass == "gpfs_write":
         return _calibrate_gpfs(samples, seed)
     return _calibrate_storage(klass, samples, seed)
+
+
+def calibrate_classes(
+    classes, samples: int, seed: int, plan: Optional[FaultPlan]
+) -> Dict[str, ServiceProfile]:
+    """Profiles for ``classes``, each seeded by (``seed``, class) only."""
+    return {
+        klass: calibrate(
+            klass, samples, derive_seed(seed, f"class.{klass}"), plan
+        )
+        for klass in sorted(set(classes))
+    }
+
+
+def calibration_seed(seed: int) -> int:
+    """The seed a service run's one calibration derives from.
+
+    Deliberately **not** repetition-derived: one calibration serves
+    every repetition.
+    """
+    return derive_seed(seed, "calib")
+
+
+def run_service_calibrate(
+    classes: str = "",
+    calib_samples: int = 24,
+    faults: Optional[str] = None,
+    seed: int = 0,
+) -> ResultTable:
+    """Campaign experiment: the one calibration of a service run.
+
+    ``classes`` is a comma-separated, sorted class list (it rides in job
+    kwargs so the result cache keys on exactly the classes measured, not
+    on schedule timing that doesn't change profiles).  Returns one row
+    per calibrated sample; :func:`~repro.service.profile.profiles_from_table`
+    folds the table back into :class:`ServiceProfile` objects.
+    """
+    wanted = [k for k in classes.split(",") if k]
+    if not wanted:
+        raise ConfigurationError("calibration needs at least one class")
+    plan = FaultPlan.from_json(faults) if faults else None
+    profiles = calibrate_classes(
+        wanted, calib_samples, calibration_seed(seed), plan
+    )
+    table = ResultTable(
+        f"service calibration ({len(profiles)} classes x "
+        f"{calib_samples} samples)",
+        list(CALIBRATION_COLUMNS),
+    )
+    for klass in sorted(profiles):
+        profile = profiles[klass]
+        for i, (service_ps, ok) in enumerate(
+            zip(profile.samples_ps, profile.ok)
+        ):
+            table.add_row(klass, i, service_ps, int(ok))
+    table.add_note(
+        "mean service time (ns): " + ", ".join(
+            f"{klass}={profiles[klass].mean_ps / 1000:.1f}"
+            for klass in sorted(profiles)
+        )
+    )
+    return table

@@ -2,13 +2,12 @@
 
 The loop replays an arrival stream against ``c`` parallel service
 channels with a bounded admission queue — the G/G/c recurrence that
-turns a *latency* model into a *service* model.  Because every
-request's service demand was already drawn deterministically (shard
-workers do that part), the loop itself is pure integer arithmetic over
-two heaps and runs identically wherever it executes.  The merged
-campaign therefore computes queueing dynamics **once, over the globally
-ordered stream** — never per shard — which is what makes run tables
-byte-identical across shard counts.
+turns a *latency* model into a *service* model.  Every request's service
+demand is drawn deterministically before the loop runs
+(:func:`~repro.service.profile.draw_demand`), so the loop itself is pure
+integer arithmetic over two heaps, run once per repetition over the
+whole, time-ordered stream: the bounded queue couples every request to
+every other.
 
 Overload is measured, not hidden: when arrivals outpace the drain rate
 the queue delay grows until the bound trips, and every arrival past the

@@ -1,21 +1,23 @@
-"""Calibrated service profiles and the forms they travel in.
+"""Calibrated service profiles: what the service loop draws demands from.
 
 A :class:`ServiceProfile` is one request class's empirical service-time
 distribution, measured by :func:`~repro.service.classes.calibrate`.  It
-leaves the calibration job as a result table (one row per sample) and
-rides in every shard job's kwargs as canonical JSON.  The conversions
-live here, apart from the calibration code, so the service driver that
-folds and forwards profiles loads no simulator.
+leaves the calibration job as a result table (one row per sample);
+:func:`profiles_from_table` folds the table back into profiles and
+:func:`draw_demand` draws each request's demand from them.  Both live
+here, apart from the calibration code, so the service driver loads no
+simulator.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from ..sim import Rng
+from ..sim.rng import derive_seed
+from .schedule import Arrival
 
 #: columns of the calibration table (one row per calibrated sample)
 CALIBRATION_COLUMNS = ["class", "sample", "service_ps", "ok"]
@@ -44,48 +46,6 @@ class ServiceProfile:
     def mean_ps(self) -> float:
         return sum(self.samples_ps) / len(self.samples_ps)
 
-    def to_dict(self) -> dict:
-        return {
-            "klass": self.klass,
-            "samples_ps": list(self.samples_ps),
-            "ok": [int(v) for v in self.ok],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceProfile":
-        try:
-            return cls(
-                data["klass"],
-                tuple(int(v) for v in data["samples_ps"]),
-                tuple(bool(v) for v in data["ok"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed profile record: {exc}") from exc
-
-
-def profiles_to_json(profiles: dict) -> str:
-    """Canonical JSON of a ``{class: profile}`` map.
-
-    Canonical (sorted keys, no whitespace) because the string rides in
-    shard-job kwargs: the result cache keys on it, so the same profiles
-    must always serialize to the same bytes.
-    """
-    return json.dumps(
-        {klass: profiles[klass].to_dict() for klass in sorted(profiles)},
-        sort_keys=True, separators=(",", ":"),
-    )
-
-
-def profiles_from_json(text: str) -> dict:
-    """Parse a ``{class: profile}`` map written by :func:`profiles_to_json`."""
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad profiles JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError("profiles JSON must be an object")
-    return {klass: ServiceProfile.from_dict(rec) for klass, rec in raw.items()}
-
 
 def profiles_from_table(table) -> Dict[str, ServiceProfile]:
     """Rebuild the ``{class: profile}`` map from a calibration
@@ -100,3 +60,21 @@ def profiles_from_table(table) -> Dict[str, ServiceProfile]:
         klass: ServiceProfile(klass, tuple(samples[klass]), tuple(oks[klass]))
         for klass in samples
     }
+
+
+def draw_demand(
+    arrival: Arrival, profile: ServiceProfile, repetition_seed: int
+) -> Tuple[int, bool]:
+    """One request's total service demand: ``ops`` profile draws.
+
+    Seeded by the request's global index in its repetition, so a
+    request's demand does not depend on which other requests are drawn.
+    """
+    rng = Rng(derive_seed(repetition_seed, f"req{arrival.index}"), "svc.req")
+    total_ps = 0
+    ok = True
+    for _ in range(arrival.ops):
+        service_ps, op_ok = profile.draw(rng)
+        total_ps += service_ps
+        ok = ok and op_ok
+    return total_ps, ok

@@ -18,9 +18,8 @@ weight and map it onto a request class (see
 :mod:`repro.service.classes`), giving a multi-tenant mix in one stream.
 
 Arrival generation is a thinned Poisson process per tenant, seeded from
-``(schedule, seed)`` only — never from shard count or worker identity —
-so every shard of a sharded run derives the identical stream and a
-merged run table is byte-for-byte reproducible for any shard count.
+``(schedule, seed)`` only, so a run table is byte-for-byte reproducible
+from its schedule and seed.
 """
 
 from __future__ import annotations
@@ -221,11 +220,6 @@ class ArrivalSchedule:
             out["max_queue_delay_ms"] = self.max_queue_delay_ms
         return out
 
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, no whitespace — the form that
-        rides in shard-job kwargs (hashable, cache-key stable)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     @staticmethod
     def from_dict(spec: Dict) -> "ArrivalSchedule":
         known = {"schema", "name", "duration_ms", "window_ms", "servers",
@@ -299,7 +293,7 @@ def generate_arrivals(schedule: ArrivalSchedule, seed: int) -> List[Arrival]:
     ``rate(t)/peak``.  Each tenant's stream is seeded from
     ``(seed, tenant name)`` and the merged stream is sorted by
     ``(arrival time, tenant, draw order)`` — a pure function of
-    ``(schedule, seed)``, so every shard regenerates it identically.
+    ``(schedule, seed)``.
     """
     total_weight = sum(t.weight for t in schedule.tenants)
     merged: List[Tuple[int, str, int, Tenant]] = []

@@ -7,11 +7,10 @@ One service run produces two artifacts describing the same grid — a
 directly: what was offered, what was achieved, what was shed, and what
 did admitted requests pay in queue delay and end-to-end latency.
 
-Shard invariance is a schema property, not an accident: neither artifact
-records the shard count, and every value in a row is computed from the
-globally merged demand stream.  Rerunning the same schedule and seed
-with any ``--shards`` must reproduce both files byte for byte — CI
-asserts exactly that.
+Both artifacts are a pure function of the schedule, the seed and the
+calibration: rerunning the same schedule and seed, with a cold or a warm
+result cache, reproduces both files byte for byte — CI asserts exactly
+that.
 
 Column reference lives in ``docs/service.md``.
 """
@@ -19,12 +18,11 @@ Column reference lives in ``docs/service.md``.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError
 from ..telemetry import bucket_of, nearest_rank, sparkline
 from .loop import RequestOutcome
-from .schedule import PS_PER_MS, Arrival, ArrivalSchedule, SERVICE_SCHEMA
+from .schedule import PS_PER_MS, ArrivalSchedule, SERVICE_SCHEMA
 
 #: CSV header, in emission order (schedules with tenant SLO targets
 #: append one ``slo_<tenant>`` verdict column per target — see
@@ -63,44 +61,6 @@ def run_table_columns(schedule: ArrivalSchedule) -> List[str]:
     return list(RUN_TABLE_COLUMNS) + [
         f"slo_{t.name}" for t in schedule.tenants if t.slo_p99_ms is not None
     ]
-
-
-def merge_shard_demands(tables) -> Dict[int, Tuple[int, bool]]:
-    """Fold shard demand tables into ``{global index: (service_ps, ok)}``.
-
-    Accepts the tables in any order and validates that the shards
-    together cover a contiguous, non-overlapping index range — a torn
-    merge (missing or duplicated shard) fails loudly instead of
-    producing a quietly wrong run table.
-    """
-    demands: Dict[int, Tuple[int, bool]] = {}
-    for table in tables:
-        for row in table.rows:
-            index = int(row[0])
-            if index in demands:
-                raise ConfigurationError(
-                    f"duplicate request index {index} across shards"
-                )
-            demands[index] = (int(row[3]), bool(row[4]))
-    if demands and sorted(demands) != list(range(len(demands))):
-        raise ConfigurationError(
-            "shard demand tables do not cover a contiguous index range"
-        )
-    return demands
-
-
-def demand_stream(
-    arrivals: Sequence[Arrival], demands: Dict[int, Tuple[int, bool]]
-) -> Iterable[Tuple[Arrival, int, bool]]:
-    """Join arrivals with merged demands, in global arrival order."""
-    if len(demands) != len(arrivals):
-        raise ConfigurationError(
-            f"merged demands cover {len(demands)} requests, "
-            f"schedule generated {len(arrivals)}"
-        )
-    for arrival in arrivals:
-        service_ps, ok = demands[arrival.index]
-        yield arrival, service_ps, ok
 
 
 def window_rows(
@@ -229,8 +189,8 @@ def run_table_records(
 ) -> List[dict]:
     """The ``repro.service/v1`` JSONL records mirroring the CSV.
 
-    The meta record carries the full schedule (provenance) but **not**
-    the shard count — the artifact must not vary with worker topology.
+    The meta record carries the full schedule (provenance), the seed and
+    the repetition count — nothing of how or where the run executed.
     """
     columns = run_table_columns(schedule)
     slo_columns = columns[len(RUN_TABLE_COLUMNS):]

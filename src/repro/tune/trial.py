@@ -48,7 +48,7 @@ from ..faults import FaultController, FaultPlan
 from ..hybrid import TieredConfig, TieringSpec
 from ..memory import DDR3_1066, DDR3_1333, DDR3_1600
 from ..processor import SocketConfig
-from ..sim import Rng, Signal, Simulator
+from ..sim import Rng, Simulator
 from ..sim.rng import derive_seed
 from ..storage import (
     NVRAM_PCIE,
@@ -57,7 +57,7 @@ from ..storage import (
     PcieAttachedStore,
     WriteCacheConfig,
 )
-from ..telemetry import nearest_rank
+from ..telemetry import nearest_rank, probe
 from ..units import CACHE_LINE_BYTES, GIB, MIB
 from ..workloads import GpfsJob, GpfsWriter
 from ..workloads.replay import generate, replay
@@ -66,9 +66,6 @@ from .space import check_workload_knobs, validate_config
 
 #: columns of the trial result table
 TRIAL_COLUMNS = ["metric", "value"]
-
-#: per-trial sim deadline — generous against any fault window
-_OP_TIMEOUT_PS = 10**14
 
 #: DIMM capacity for trial systems (offsets are random; small is fast)
 _DIMM_BYTES = 256 * MIB
@@ -170,53 +167,6 @@ def _metric_rows(
     ]
 
 
-def _measure_lines(
-    system: ContuttoSystem, op: str, samples: int, depth: int, seed: int
-) -> Tuple[List[int], int, int]:
-    """Pipelined line operations: ``depth`` kept in flight until done."""
-    region = system.region_for_slot(0)
-    sim = system.sim
-    socket = system.socket
-    rng = Rng(derive_seed(seed, "ops"), "tune.ops")
-    lines = region.os_size // CACHE_LINE_BYTES
-    addrs = [
-        region.base + rng.randint(0, lines - 1) * CACHE_LINE_BYTES
-        for _ in range(samples)
-    ]
-    payload = bytes(CACHE_LINE_BYTES)
-    latencies = [0] * samples
-    state = {"next": 0, "inflight": 0, "errors": 0}
-    done = Signal("tune.done")
-
-    def issue_next() -> None:
-        i = state["next"]
-        state["next"] += 1
-        state["inflight"] += 1
-        t0 = sim.now_ps
-        if op == "write":
-            signal = socket.write_line(addrs[i], payload)
-        else:
-            signal = socket.read_line(addrs[i])
-
-        def complete(value, i=i, t0=t0) -> None:
-            latencies[i] = sim.now_ps - t0
-            if isinstance(value, Exception):
-                state["errors"] += 1
-            state["inflight"] -= 1
-            if state["next"] < samples:
-                issue_next()
-            elif state["inflight"] == 0:
-                done.trigger(None)
-
-        signal.add_waiter(complete)
-
-    t_start = sim.now_ps
-    for _ in range(min(depth, samples)):
-        issue_next()
-    sim.run_until_signal(done, timeout_ps=_OP_TIMEOUT_PS)
-    return latencies, sim.now_ps - t_start, state["errors"]
-
-
 def _run_memory_workload(
     config: Dict[str, object],
     op: str,
@@ -235,7 +185,14 @@ def _run_memory_workload(
             system.sim, plan, seed=derive_seed(seed, "faults")
         )
         controller.install(system).start()
-    latencies, elapsed, errors = _measure_lines(system, op, samples, depth, seed)
+    region = system.region_for_slot(0)
+    rng = Rng(derive_seed(seed, "ops"), "tune.ops")
+    lines = region.os_size // CACHE_LINE_BYTES
+    ops = [
+        (op, region.base + rng.randint(0, lines - 1) * CACHE_LINE_BYTES)
+        for _ in range(samples)
+    ]
+    latencies, elapsed, errors = replay(system, ops, depth)
     if controller is not None:
         controller.heal()
         controller.stop()
@@ -348,6 +305,8 @@ def run_tune_trial(
     check_workload_knobs(workload, knobs)
     plan = FaultPlan.from_json(faults) if faults else None
 
+    # one attribution scenario per trial, keyed like pareto.jsonl
+    probe.set_scenario(f"tune:{workload}:{config}")
     if workload in ("mem_read", "mem_write"):
         rows = _run_memory_workload(
             knobs, "write" if workload == "mem_write" else "read",

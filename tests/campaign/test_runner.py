@@ -99,15 +99,18 @@ class TestExecution:
         assert report.failed[0].attempts == 3
 
     def test_timeout_marks_job_failed(self):
+        # one rule on both paths: the pool abandons the stuck worker, the
+        # inline path judges the job's duration when it returns
         matrix = echo_matrix([1])
         matrix.add("_selftest_sleep", seconds=2.0)
-        report = CampaignRunner(
-            matrix.expand(), workers=2, retries=0, timeout_s=0.3
-        ).run()
-        assert len(report.succeeded) == 1
-        (failed,) = report.failed
-        assert failed.job.experiment == "_selftest_sleep"
-        assert "TimeoutError" in failed.error
+        for workers in (2, 1):
+            report = CampaignRunner(
+                matrix.expand(), workers=workers, retries=0, timeout_s=0.3
+            ).run()
+            assert len(report.succeeded) == 1, workers
+            (failed,) = report.failed
+            assert failed.job.experiment == "_selftest_sleep"
+            assert "TimeoutError" in failed.error
 
     def test_validates_configuration(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,10 @@ CASES = {
     "tune-jobs-0": ["run_tune.py", SPEC, "--jobs", "0"],
     "regenerate-jobs-0": ["regenerate_experiments.py", "--jobs", "0"],
     "suite-jobs-0": ["run_suite.py", SUITE, "--jobs", "0"],
-    "service-shards-0": ["run_service.py", "--schedule", SCHEDULE, "--shards", "0"],
+    "service-calib-samples-0": ["run_service.py", "--schedule", SCHEDULE,
+                                "--calib-samples", "0"],
+    "service-repetitions-0": ["run_service.py", "--schedule", SCHEDULE,
+                              "--repetitions", "0"],
     "campaign-retries-negative": ["run_campaign.py", "--retries", "-1"],
     "tune-retries-negative": ["run_tune.py", SPEC, "--retries", "-1"],
     "suite-retries-negative": ["run_suite.py", SUITE, "--retries", "-1"],

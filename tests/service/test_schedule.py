@@ -1,5 +1,7 @@
 """ArrivalSchedule: validation, rate math, JSON round-trip, determinism."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -94,14 +96,14 @@ class TestRates:
 
 class TestRoundTrip:
     def test_json_round_trip_is_identity(self):
-        again = ArrivalSchedule.from_json(SCHED.to_json())
+        again = ArrivalSchedule.from_json(json.dumps(SCHED.to_dict()))
         assert again == SCHED
-        assert again.to_json() == SCHED.to_json()
+        assert again.to_dict() == SCHED.to_dict()
 
     def test_load_accepts_all_forms(self):
         assert ArrivalSchedule.load(SCHED) is SCHED
         assert ArrivalSchedule.load(SCHED.to_dict()) == SCHED
-        assert ArrivalSchedule.load(SCHED.to_json()) == SCHED
+        assert ArrivalSchedule.load(json.dumps(SCHED.to_dict())) == SCHED
         with pytest.raises(ConfigurationError):
             ArrivalSchedule.load(42)
 

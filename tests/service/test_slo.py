@@ -1,5 +1,7 @@
 """Tenant SLO verdicts: column shape, met/missed logic, summaries."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -49,10 +51,10 @@ class TestTenantField:
 
     def test_slo_round_trips_through_json(self):
         schedule = sched(slo_reader=0.25)
-        again = ArrivalSchedule.from_json(schedule.to_json())
+        again = ArrivalSchedule.from_json(json.dumps(schedule.to_dict()))
         assert again.tenants[0].slo_p99_ms == 0.25
         assert again.tenants[1].slo_p99_ms is None
-        assert again.to_json() == schedule.to_json()
+        assert again.to_dict() == schedule.to_dict()
 
     def test_slo_absent_keeps_canonical_dict(self):
         # target-free tenants serialize exactly as before the field existed

@@ -92,6 +92,23 @@ class TestDriver:
         assert len(journeys) == meta["journeys"] == sum(per_trial.values())
         assert Counter(j["source"] for j in journeys) == per_trial
 
+    def test_attribution_has_one_scenario_per_trial_key(self, tmp_path):
+        report, out = run(tmp_path, "scenarios", workers=1)
+        keys = [
+            json.loads(line)["key"]
+            for line in (out / "pareto.jsonl").read_text().splitlines()[1:]
+        ]
+        records = read_attribution(out / "attribution.jsonl")
+        assert records[0]["scenarios"] == sorted(
+            f"tune:mem_read:{key}" for key in keys
+        )
+        # every journey sits in its own trial's scenario
+        config_of = {f"job:{o.job.job_id}": o.job.kwargs_dict["config"]
+                     for o in report.campaign.outcomes}
+        for journey in journey_records(records):
+            assert journey["scenario"] == \
+                f"tune:mem_read:{config_of[journey['source']]}"
+
     def test_report_fields(self, tmp_path):
         report, out = run(tmp_path, "fields", workers=2)
         assert report.winner is not None

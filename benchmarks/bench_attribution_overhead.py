@@ -37,7 +37,7 @@ def test_disabled_attribution_overhead(benchmark):
         run_table3(samples=8)
 
     def traced():
-        with TraceSession("bench", max_events=0):
+        with TraceSession(spans=False):
             run_table3(samples=8)
 
     untraced_s = min(_timed(untraced) for _ in range(3))

@@ -38,7 +38,7 @@ def test_dormant_fault_hooks_overhead(benchmark):
         from repro.sim import Simulator
 
         controller = FaultController(Simulator(), FaultPlan(specs=()))
-        with TraceSession("bench", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             session.journeys.fault_probe = controller.fault_tags
             run_table3(samples=8)
 

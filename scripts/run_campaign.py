@@ -52,11 +52,22 @@ from repro.report import load_fault_plan
 
 
 def load_matrix(path: str) -> ScenarioMatrix:
-    """Build a ScenarioMatrix from its JSON description."""
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    """Build a ScenarioMatrix from its JSON description.
+
+    Raises ConfigurationError for a file that cannot be read, is not
+    JSON, has no ``scenarios`` list or names an unknown experiment.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(spec, dict) or not isinstance(spec.get("scenarios"), list):
+        raise ConfigurationError(f"{path}: needs a 'scenarios' list")
     matrix = ScenarioMatrix(base_seed=spec.get("base_seed", 0))
     for scenario in spec["scenarios"]:
+        if not isinstance(scenario, dict) or "experiment" not in scenario:
+            raise ConfigurationError(f"{path}: every scenario needs an 'experiment'")
         matrix.add(scenario["experiment"], **scenario.get("axes", {}))
     return matrix
 
@@ -118,13 +129,20 @@ def main(argv=None) -> int:
     if args.jobs < 1 or args.retries < 0:
         print("--jobs must be >= 1 and --retries >= 0", file=sys.stderr)
         return 2
+    if args.timeout is not None and args.timeout <= 0:
+        print("--timeout must be > 0", file=sys.stderr)
+        return 2
     try:
         plan = load_fault_plan(args.faults) if args.faults else None
     except ConfigurationError as exc:
         print(f"fault plan: {exc}", file=sys.stderr)
         return 2
     if args.matrix:
-        matrix = load_matrix(args.matrix)
+        try:
+            matrix = load_matrix(args.matrix)
+        except ConfigurationError as exc:
+            print(f"matrix: {exc}", file=sys.stderr)
+            return 2
     else:
         only = [ALIASES.get(name, name) for name in args.only] if args.only else None
         matrix = ScenarioMatrix.paper(only=only, seed=args.seed)

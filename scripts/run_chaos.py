@@ -10,8 +10,10 @@ experiment's table, then a resilience report reconstructed from the
 ``faults.*`` counters — faults injected, recoveries, failures, LOST
 outcomes — with clean-vs-fault-affected latency deltas from the journey
 attribution.  ``--plan`` layers extra fault-plan entries (docs/faults.md)
-on top of the experiment's own fault schedule.  With ``--out`` the
-metrics and attribution artifacts are written for offline analysis.
+on top of the experiment's own fault schedule.  Each experiment runs as
+a one-job campaign with no spans recorded, and the report is read from
+the job's payload; with ``--out`` its metrics and attribution artifacts
+are written for offline analysis.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.campaign import experiment_names, get_experiment, run_experiment
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import render_time_buckets, report_from_snapshot, time_buckets
 from repro.report import load_fault_plan
+from repro.telemetry import LatencyBreakdown
 
 FAULT_EXPERIMENTS = [
     name for name in experiment_names()
@@ -66,6 +69,9 @@ def main(argv=None) -> int:
         print(f"error: not fault experiments: {', '.join(unknown)} "
               f"(known: {', '.join(FAULT_EXPERIMENTS)})", file=sys.stderr)
         return 2
+    if (args.samples is not None and args.samples < 1) or args.buckets < 1:
+        print("error: --samples and --buckets must be >= 1", file=sys.stderr)
+        return 2
     plan_json = load_fault_plan(args.plan) if args.plan else None
 
     failures = 0
@@ -73,29 +79,31 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) / name if args.out else None
         print(f"=== {name} ===")
         try:
-            session, tables = run_experiment(
+            _, campaign = run_experiment(
                 name, out_dir, samples=args.samples, seed=args.seed,
-                faults=plan_json, session_name=f"chaos:{name}", max_events=0,
+                faults=plan_json, spans=False,
             )
         except ReproError as exc:
             print(f"error: {name} failed: {exc}", file=sys.stderr)
             failures += 1
             continue
-        for table in tables:
+        for table in campaign.tables():
             print(table.to_markdown())
             print()
 
-        breakdown = session.breakdown()
-        report = report_from_snapshot(session.registry.snapshot(), plan_name=name)
+        payload = campaign.outcomes[0].payload
+        journeys = payload["attribution"]
+        breakdown = LatencyBreakdown()
+        breakdown.add_records(journeys)
+        report = report_from_snapshot(payload["metrics"], plan_name=name)
         if report is None:
             print("no faults were injected (empty plan or all targets skipped)")
         else:
             print(report.render(breakdown))
             # time-bucketed resilience view: injections vs latency over
             # sim time, from the windows controllers published at stop()
-            windows = session.fault_windows
-            journeys = session.journey_records() if windows else []
-            if journeys:
+            windows = payload["fault_windows"]
+            if windows and journeys:
                 rows = time_buckets(windows, journeys, buckets=args.buckets)
                 if rows:
                     print()

@@ -91,6 +91,9 @@ def main(argv=None) -> int:
     if args.repetitions < 1 or args.calib_samples < 1:
         print("--repetitions and --calib-samples must be >= 1", file=sys.stderr)
         return 2
+    if args.timeout is not None and args.timeout <= 0:
+        print("--timeout must be > 0", file=sys.stderr)
+        return 2
 
     faults = None
     if args.faults:

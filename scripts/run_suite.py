@@ -80,6 +80,9 @@ def main(argv=None) -> int:
     if args.jobs < 1 or args.retries < 0:
         print("--jobs must be >= 1 and --retries >= 0", file=sys.stderr)
         return 2
+    if args.timeout is not None and args.timeout <= 0:
+        print("--timeout must be > 0", file=sys.stderr)
+        return 2
     try:
         spec = SuiteSpec.load(args.spec)
     except ReproError as exc:

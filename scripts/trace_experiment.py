@@ -15,6 +15,10 @@ produces in the output directory:
 * ``attribution.jsonl`` — ``repro.attribution/v1`` request journeys plus
   per-stage summaries; render with ``scripts/analyze_latency.py``.
 
+The experiment runs as a one-job campaign, so both JSONL files have the
+shape ``run_campaign.py`` writes; ``attribution.jsonl`` is byte-identical
+to that of a campaign running the same job.
+
 The experiment names match the paper's tables/figures (``table1`` ..
 ``table5``, ``fig6`` .. ``fig8``, ``fio`` for the Figure 9/10 matrix).
 """
@@ -59,10 +63,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--kernel-events", action="store_true",
         help="also emit one instant per simulator event (large traces)",
     )
-    parser.add_argument(
-        "--max-events", type=int, default=None,
-        help="trace event buffer cap (further spans are dropped, counted)",
-    )
     return parser.parse_args(argv)
 
 
@@ -73,22 +73,22 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.samples is not None and args.samples < 1:
+        print("--samples must be >= 1", file=sys.stderr)
+        return 2
     if args.samples is not None and spec.size_knob is None:
         print(f"note: {spec.name} takes no sample knob; --samples ignored",
               file=sys.stderr)
-    session_options = {"kernel_events": args.kernel_events}
-    if args.max_events is not None:
-        session_options["max_events"] = args.max_events
 
     out_dir = Path(args.out or Path("traces") / spec.name)
-    session, tables = run_experiment(
+    session, report = run_experiment(
         spec.name, out_dir, samples=args.samples, seed=args.seed,
-        **session_options,
+        kernel_events=args.kernel_events,
     )
     trace_path = out_dir / "trace.json"
     session.write_chrome(trace_path)
 
-    for table in tables:
+    for table in report.tables():
         print(table.to_markdown())
         print()
     print(f"trace:   {trace_path}  "
@@ -99,10 +99,6 @@ def main(argv=None) -> int:
     print(f"attribution: {out_dir / 'attribution.jsonl'}  "
           f"({len(journeys.completed)} journeys, "
           f"{len(journeys.scenarios())} scenarios)")
-    dropped = session.counts.dropped_events
-    if dropped:
-        print(f"warning: {dropped} events dropped "
-              f"(buffer cap {session.max_events})", file=sys.stderr)
     return 0
 
 

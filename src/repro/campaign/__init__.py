@@ -22,7 +22,8 @@ artifact, and its journeys into one ``repro.attribution/v1`` artifact.
 
 :func:`run_campaign` runs a job list into an output directory (manifest,
 ``experiments.md``, ``metrics.jsonl``, ``attribution.jsonl``), and
-:func:`run_experiment` runs one experiment outside any campaign.  See
+:func:`run_experiment` runs one experiment as a one-job campaign, with
+the session its caller asks for.  See
 ``docs/campaign.md`` for the matrix format, manifest/cache layout,
 and failure semantics; ``scripts/run_campaign.py`` is the CLI.
 """
@@ -54,7 +55,7 @@ _EXPORTS = {
     "job_record": ".manifest",
     "read_manifest": ".manifest",
     "run_campaign": ".runner",
-    "run_experiment": ".worker",
+    "run_experiment": ".runner",
     "tables_of": ".worker",
 }
 

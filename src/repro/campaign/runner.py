@@ -30,11 +30,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..telemetry import (
     MetricsRegistry,
+    TraceSession,
     fault_window_record,
     merge_attribution,
     meta_record,
@@ -46,7 +47,7 @@ from .cache import ResultCache
 from .manifest import ManifestWriter, campaign_record, job_record
 from .matrix import CampaignJob
 from .registry import get_experiment
-from .worker import execute_job, tables_of
+from .worker import execute_job, run_job, tables_of
 
 
 @dataclass
@@ -186,6 +187,8 @@ class CampaignRunner:
             raise ValueError("workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError("timeout_s must be > 0")
         self.jobs = list(jobs)
         self.workers = workers
         self.cache = cache
@@ -391,3 +394,46 @@ def run_campaign(
     (out_dir / "experiments.md").write_text(report.markdown(), encoding="utf-8")
     report.write_artifacts(out_dir, params, name)
     return report
+
+
+def run_experiment(
+    name: str,
+    out_dir=None,
+    *,
+    samples: Optional[int] = None,
+    seed: int = 0,
+    faults: Optional[str] = None,
+    **session_options,
+) -> Tuple[TraceSession, CampaignReport]:
+    """Run one named experiment in-process as a one-job campaign.
+
+    The one-off path of ``trace_experiment.py`` and ``run_chaos.py``.
+    ``samples`` replaces the spec's :attr:`~repro.campaign.registry.
+    ExperimentSpec.size_knob` (ignored when it has none) and ``faults``
+    joins its kwargs; the job is the one a campaign matrix gives the same
+    cell.  It runs through :func:`~repro.campaign.worker.run_job` with
+    ``session_options`` going to its session, and unlike a campaign job
+    its exceptions propagate.  With ``out_dir``, the report's
+    :meth:`CampaignReport.write_artifacts` pair is written there: its
+    ``attribution.jsonl`` is byte-identical to a one-job
+    :func:`run_campaign`'s, and its ``metrics.jsonl`` differs only in the
+    meta record.  Returns the closed session and the report.
+    """
+    spec = get_experiment(name)
+    kwargs = dict(spec.defaults)
+    if samples is not None and spec.size_knob is not None:
+        kwargs[spec.size_knob] = samples
+    if faults is not None:
+        kwargs["faults"] = faults
+    job = CampaignJob.make(spec.name, kwargs, seed)
+    session, payload = run_job(job, spec.runner, **session_options)
+    report = CampaignReport(
+        [JobOutcome(job, "run", payload, attempts=1)], payload["duration_s"], 1
+    )
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report.write_artifacts(
+            out_dir, {"experiment": spec.name, **kwargs, "seed": seed}
+        )
+    return session, report

@@ -97,7 +97,6 @@ def measure_centaur_latencies(samples: int = 24, seed: int = 0) -> Dict[str, flo
     """Measured latency-to-memory for the four Table 2 configurations."""
     out = {}
     for config in (LATENCY_OPTIMIZED, DEFAULT, CONSERVATIVE, RELAXED):
-        probe.set_scenario(f"{config.name}:boot")
         system = _centaur_system(config, seed=seed)
         probe.set_scenario(config.name)
         out[config.name] = system.measure_latency_ns("centaur", samples=samples)
@@ -107,17 +106,14 @@ def measure_centaur_latencies(samples: int = 24, seed: int = 0) -> Dict[str, flo
 def measure_contutto_latencies(samples: int = 24, seed: int = 0) -> Dict[str, float]:
     """Measured latencies for the Table 3 configurations."""
     out = {}
-    probe.set_scenario("centaur:boot")
     system = _centaur_system(LATENCY_OPTIMIZED, seed=seed)
     probe.set_scenario("centaur")
     out["centaur"] = system.measure_latency_ns("centaur", samples=samples)
-    probe.set_scenario("function_matched:boot")
     system = _centaur_system(FUNCTION_MATCHED, seed=seed)
     probe.set_scenario("function_matched")
     out["function_matched"] = system.measure_latency_ns("centaur", samples=samples)
     for knob, label in [(0, "contutto_base"), (2, "contutto_knob2"),
                         (6, "contutto_knob6"), (7, "contutto_knob7")]:
-        probe.set_scenario(f"{label}:boot")
         system = _contutto_system(knob, seed=seed)
         probe.set_scenario(label)
         out[label] = system.measure_latency_ns("contutto", samples=samples)
@@ -272,7 +268,6 @@ def run_table4(writes: int = 24, seed: int = 0) -> ResultTable:
     table.add_row("SSD", "SAS", result.iops, cal.TABLE4_ROWS["ssd"][2])
 
     # STT-MRAM behind ConTutto as a write cache in front of the HDD
-    probe.set_scenario("gpfs:wcache:boot")
     system = ContuttoSystem.build(
         [
             CardSpec(slot=2, kind="centaur", capacity_per_dimm=1 * GIB),
@@ -319,7 +314,6 @@ def run_fio_matrix(
     job_seed = 1234 + seed
     results = {}
     for name in FIO_STORES:
-        probe.set_scenario(f"fio:{name}:boot")
         device, sim = _make_fio_store(name, seed=seed)
         probe.set_scenario(f"fio:{name}")
         runner = FioRunner(sim)

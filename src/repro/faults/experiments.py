@@ -103,7 +103,6 @@ def run_ber_sweep(
         mode = "freeze" if freeze else "nofreeze"
         for rate in rates:
             label = f"ber:{rate:g}:{mode}"
-            probe.set_scenario(f"{label}:boot")
             system = ContuttoSystem.build(
                 [CardSpec(slot=0, kind="contutto",
                           capacity_per_dimm=256 * MIB, freeze=freeze)],
@@ -190,7 +189,6 @@ def run_nvdimm_drill(lines: int = 16, seed: int = 0, faults=None) -> ResultTable
     ]
     for case, supercap in cases:
         label = f"nvdimm:{case}"
-        probe.set_scenario(f"{label}:boot")
         # firmware wants DRAM contiguous from address 0, so the NVDIMM card
         # rides on channel 2 (even DMI slots only) behind a small DRAM card
         system = ContuttoSystem.build(
@@ -304,7 +302,6 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
     job = GpfsJob(total_writes=writes, seed=99 + seed)
 
     def build_cache(label):
-        probe.set_scenario(f"storage:{label}:boot")
         system = ContuttoSystem.build(
             [CardSpec(slot=2, kind="centaur", capacity_per_dimm=1 * GIB),
              CardSpec(slot=0, kind="contutto", memory="mram",
@@ -333,7 +330,6 @@ def run_storage_drill(writes: int = 24, seed: int = 0, faults=None) -> ResultTab
     )
 
     # -- direct SSD with forced IO failures --------------------------------
-    probe.set_scenario("storage:ssd:boot")
     system = ContuttoSystem.build(
         [CardSpec(slot=0, kind="contutto", capacity_per_dimm=256 * MIB)],
         seed=seed,

@@ -64,7 +64,6 @@ def run_tiered_replay(
     if ops < 2:
         raise ConfigurationError(f"tiered replay needs >= 2 ops, got {ops}")
     label = f"tiered:{policy}:{workload}"
-    probe.set_scenario(f"{label}:boot")
     tiering = TieringSpec(
         policy=policy,
         config=TieredConfig(epoch_ps=_EPOCH_PS,

@@ -157,6 +157,7 @@ class SuiteRunner:
             faults=entry.faults,
             cache=self.cache,
             timeout_s=self.timeout_s,
+            retries=self.retries,
         ).run()
         return [
             f"service {entry.name}: {o.job.job_id}: {o.error}"

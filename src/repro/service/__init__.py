@@ -29,7 +29,7 @@ _EXPORTS = {
     "PHASE_KINDS": ".schedule",
     "PS_PER_MS": ".schedule",
     "Phase": ".schedule",
-    "REQUEST_CLASSES": ".classes",
+    "REQUEST_CLASSES": ".schedule",
     "RUN_TABLE_COLUMNS": ".table",
     "RequestOutcome": ".loop",
     "SERVICE_SCHEMA": ".schedule",

@@ -52,16 +52,7 @@ from ..telemetry import probe
 from ..units import CACHE_LINE_BYTES, MIB
 from ..workloads import GpfsJob, GpfsWriter, TraceSpec, pointer_chase
 from .profile import CALIBRATION_COLUMNS, ServiceProfile
-
-#: every request class a schedule's tenants may reference
-REQUEST_CLASSES = (
-    "gpfs_write",
-    "mem_read",
-    "mem_write",
-    "pointer_chase",
-    "storage_read",
-    "storage_write",
-)
+from .schedule import REQUEST_CLASSES
 
 #: classes backed by a booted ContuttoSystem (fault plans apply here)
 SYSTEM_CLASSES = frozenset({"mem_read", "mem_write", "pointer_chase"})
@@ -90,7 +81,6 @@ def _calibrate_system(
     klass: str, samples: int, seed: int, plan: Optional[FaultPlan]
 ) -> ServiceProfile:
     """Measure socket-path line operations on a booted Centaur system."""
-    probe.set_scenario(f"service:{klass}:boot")
     system = ContuttoSystem.build([CardSpec(slot=0, kind="centaur")], seed=seed)
     controller = None
     if plan is not None:

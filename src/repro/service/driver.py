@@ -77,7 +77,9 @@ class ServiceDriver:
     Parameters mirror the ``run_service.py`` flags: ``faults`` is the
     canonical fault-plan JSON string (see
     :func:`repro.report.load_fault_plan`), ``cache`` a shared
-    :class:`~repro.campaign.ResultCache` or ``None``.
+    :class:`~repro.campaign.ResultCache` or ``None``.  ``retries`` goes
+    to the calibration job's :class:`~repro.campaign.CampaignRunner`
+    (the CLI keeps its default; a suite passes its own).
     """
 
     def __init__(
@@ -91,6 +93,7 @@ class ServiceDriver:
         faults: Optional[str] = None,
         cache=None,
         timeout_s: Optional[float] = None,
+        retries: int = 1,
     ) -> None:
         if repetitions < 1:
             raise ConfigurationError("repetitions must be >= 1")
@@ -104,6 +107,7 @@ class ServiceDriver:
         self.faults = faults
         self.cache = cache
         self.timeout_s = timeout_s
+        self.retries = retries
 
     def run(self) -> ServiceResult:
         """Calibrate, replay every repetition, write the artifacts."""
@@ -125,6 +129,7 @@ class ServiceDriver:
             cache=self.cache,
             manifest_path=str(out_dir / "manifest.jsonl"),
             timeout_s=self.timeout_s,
+            retries=self.retries,
             base_seed=self.seed,
         ).run()
         if report.failed:

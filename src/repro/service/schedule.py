@@ -38,6 +38,17 @@ SERVICE_SCHEMA = "repro.service/v1"
 #: arrival-rate shapes a phase may take
 PHASE_KINDS = ("constant", "ramp", "flash")
 
+#: every request class a tenant may reference (calibrated by
+#: :mod:`repro.service.classes`)
+REQUEST_CLASSES = (
+    "gpfs_write",
+    "mem_read",
+    "mem_write",
+    "pointer_chase",
+    "storage_read",
+    "storage_write",
+)
+
 #: picoseconds per millisecond (schedules are written in ms, the sim
 #: kernel and the service loop run in ps)
 PS_PER_MS = 1_000_000_000
@@ -60,6 +71,11 @@ class Tenant:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant needs a name")
+        if self.klass not in REQUEST_CLASSES:
+            raise ConfigurationError(
+                f"tenant {self.name!r}: unknown request class {self.klass!r} "
+                f"(known: {', '.join(REQUEST_CLASSES)})"
+            )
         if self.weight <= 0:
             raise ConfigurationError(f"tenant {self.name!r}: weight must be > 0")
         if self.ops_per_request < 1:

@@ -8,12 +8,16 @@ lightweight probes that are inert (one ``is None`` test) until a
 
     from repro.telemetry import TraceSession
 
-    with TraceSession("table3") as session:
+    with TraceSession() as session:
         table = run_table3(samples=8)
     session.write_chrome("/tmp/t3/trace.json")      # chrome://tracing
-    session.write_metrics("/tmp/t3/metrics.jsonl")  # schema-versioned JSONL
+    session.snapshots[-1]["metrics"]                # the final counters
 
-See ``docs/telemetry.md`` for the artifact schema and
+A session keeps every span; campaign jobs run ``spans=False`` and keep
+metrics and journeys only.  Run artifacts (``metrics.jsonl``,
+``attribution.jsonl``) have one writer, the campaign's
+(:func:`repro.campaign.run_experiment` runs a one-off experiment as a
+one-job campaign).  See ``docs/telemetry.md`` for the artifact schema and
 ``scripts/trace_experiment.py`` for the CLI that wraps any named
 experiment with a session.
 """
@@ -23,7 +27,6 @@ from .artifact import (
     SCHEMA_VERSION,
     final_snapshot,
     meta_record,
-    read_jsonl,
     result_record,
     snapshot_record,
     write_jsonl,
@@ -38,7 +41,6 @@ from .attribution import (
     journey_record,
     merge_attribution,
     occupancy_sources,
-    read_attribution,
 )
 from .buckets import bucket_of, slice_width, sparkline
 from .chrome import load_chrome_trace, to_chrome_events, write_chrome_trace
@@ -70,8 +72,6 @@ __all__ = [
     "meta_record",
     "nearest_rank",
     "occupancy_sources",
-    "read_attribution",
-    "read_jsonl",
     "result_record",
     "slice_width",
     "snapshot_record",

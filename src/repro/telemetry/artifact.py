@@ -92,17 +92,6 @@ def write_jsonl(path: str, records: List[dict]) -> int:
     return len(records)
 
 
-def read_jsonl(path: str) -> List[dict]:
-    """Load every record of an artifact (blank lines tolerated)."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
 def final_snapshot(records: List[dict]) -> Optional[dict]:
     """The last snapshot record of an artifact, or None."""
     for record in reversed(records):

@@ -26,10 +26,7 @@ from .artifact import (
     journey_record,
     journey_records,
     merge_attribution,
-    read_attribution,
-    session_attribution_records,
     stage_summary_records,
-    write_attribution,
 )
 from .breakdown import LatencyBreakdown
 from .journey import (
@@ -64,8 +61,5 @@ __all__ = [
     "journey_records",
     "merge_attribution",
     "occupancy_sources",
-    "read_attribution",
-    "session_attribution_records",
     "stage_summary_records",
-    "write_attribution",
 ]

@@ -3,8 +3,9 @@
 Record stream (JSON Lines, one object per line):
 
 ``meta``
-    First record: schema, session/source name, journey counts (completed,
-    dropped, abandoned in flight), the scenario labels seen.
+    First record: schema, artifact name, journey counts (completed,
+    dropped, abandoned in flight), the scenario labels seen and the
+    sources merged.
 ``journey``
     One per completed journey: identity, scenario, bounds, and the stage
     visits with their queue/service classification.
@@ -17,18 +18,17 @@ Record stream (JSON Lines, one object per line):
     injector, bounds) — the raw material of the time-bucketed
     injections-vs-latency view.
 
-Per-worker artifacts merge into one campaign artifact deterministically —
-sources sorted by label, journeys and fault windows kept in per-source
-order and tagged with their source, summaries recomputed over the union —
-so the merged file is byte-identical regardless of worker count or
-completion order.
+Every artifact is a merge of campaign jobs' records (a one-off run is a
+one-job campaign): sources sorted by label, journeys and fault windows
+kept in per-source order and tagged with their source, summaries
+recomputed over the union — so the file is byte-identical regardless of
+worker count or completion order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from ..artifact import read_jsonl, write_jsonl
 from .breakdown import LatencyBreakdown
 from .journey import Journey
 
@@ -116,36 +116,10 @@ def stage_summary_records(breakdown: LatencyBreakdown) -> List[dict]:
     return out
 
 
-def session_attribution_records(session) -> List[dict]:
-    """The full record stream for one :class:`TraceSession`'s journeys."""
-    tracker = session.journeys
-    breakdown = LatencyBreakdown()
-    journeys = session.journey_records()
-    breakdown.add_records(journeys)
-    records = [
-        attribution_meta(
-            session.name,
-            len(tracker.completed),
-            tracker.dropped,
-            tracker.active_count,
-            tracker.scenarios(),
-        )
-    ]
-    records.extend(journeys)
-    records.extend(fault_window_record(w) for w in session.fault_windows)
-    records.extend(stage_summary_records(breakdown))
-    return records
-
-
 def fault_window_record(window: dict) -> dict:
     """The artifact form of one closed fault window (a
     ``TraceSession.fault_windows`` entry)."""
     return {"schema": ATTRIBUTION_SCHEMA, "kind": "fault_window", **window}
-
-
-def read_attribution(path: str) -> List[dict]:
-    """Load an attribution artifact (same JSONL framing as telemetry)."""
-    return read_jsonl(path)
 
 
 def journey_records(records: Iterable[dict]) -> List[dict]:
@@ -200,8 +174,3 @@ def merge_attribution(
     out.extend(windows)
     out.extend(stage_summary_records(breakdown))
     return out
-
-
-def write_attribution(path: str, records: List[dict]) -> int:
-    """Write an attribution record stream; returns the record count."""
-    return write_jsonl(path, records)

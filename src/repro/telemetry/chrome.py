@@ -18,7 +18,7 @@ order so the mapping is deterministic for a deterministic simulation.
 Besides recorded :class:`TraceEvent` objects, exporters accept *extras*:
 pre-built picosecond-keyed dicts (``name``/``cat``/``ph``/``ts_ps`` plus
 optional ``dur_ps``/``args``/``id``/``bp``).  The attribution layer uses
-them for journey stage spans, flow links, and the truncation marker.
+them for journey stage spans and flow links.
 """
 
 from __future__ import annotations
@@ -86,22 +86,6 @@ def to_chrome_events(
             record["args"] = event["args"]
         out.append(record)
     return out
-
-
-def truncation_marker(dropped: int, max_events: int, ts_ps: int) -> dict:
-    """The instant that flags a clipped trace (events past the cap).
-
-    Emitted as the chronologically last event so a reader scanning the
-    file — or a human scrolling the viewer — cannot miss that spans are
-    missing; ``args`` carries the drop count for tooling.
-    """
-    return {
-        "name": "telemetry.truncated",
-        "cat": "telemetry",
-        "ph": "i",
-        "ts_ps": ts_ps,
-        "args": {"dropped_events": dropped, "max_events": max_events},
-    }
 
 
 def write_chrome_trace(

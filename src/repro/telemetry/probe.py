@@ -85,9 +85,7 @@ def tracker():
 def set_scenario(label: str) -> None:
     """Label journeys begun from here on (no-op when telemetry is off).
 
-    Measurement loops set the configuration's label just before measuring
-    and a ``<label>:boot`` label before each build, so boot-time traffic
-    never pollutes a measurement scenario in the latency breakdown.
+    Measurement loops set the configuration's label just before measuring.
     """
     journeys = tracker()
     if journeys is not None:

@@ -14,9 +14,9 @@ is active (it is a context manager), instrumented components emit:
   :class:`~repro.telemetry.probe.Counts` object joins the session it is
   built in, and snapshots read it in place.
 
-A session stores at most ``max_events`` spans and instants; past the cap
-each one is only counted, with one increment, so a dropped span costs the
-one call that emitted it (campaign workers run ``max_events=0``).
+A session keeps every span and instant, or, with ``spans=False``, none:
+campaign jobs ship metrics and journeys, so their sessions drop each span
+at one flag test and count nothing for it.
 
 Nothing here touches the simulator: call sites pass ``sim.now_ps``
 explicitly, which keeps this package import-safe from every layer
@@ -32,22 +32,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from . import probe
-from .artifact import snapshot_record, write_jsonl
 from .attribution import (
     JourneyTracker,
     LatencyBreakdown,
     OccupancySampler,
     journey_chrome_extras,
     journey_record,
-    session_attribution_records,
 )
-from .chrome import to_chrome_events, truncation_marker, write_chrome_trace
+from .chrome import to_chrome_events, write_chrome_trace
 from .metrics import Counter, Histogram
 from .registry import MetricsRegistry
-
-#: default cap on stored trace events; beyond it events are counted but
-#: dropped (metrics keep accumulating — they are O(1) in space)
-DEFAULT_MAX_EVENTS = 2_000_000
 
 #: counters pre-registered at zero in every session so artifact snapshots
 #: have a stable core schema regardless of which paths a run exercises
@@ -59,7 +53,6 @@ CORE_COUNTERS = (
     "dmi.replays",
     "buffer.cache.hits",
     "buffer.cache.misses",
-    "telemetry.dropped_events",
 )
 
 
@@ -76,47 +69,35 @@ class TraceEvent:
 
 
 class SessionCounts:
-    """Spans and instants a session dropped past ``max_events``, and the
-    occupancy samples it took.  Read by its own registry only (a
-    :class:`~repro.telemetry.probe.Counts` would also join any session
-    active when this one was made)."""
+    """The occupancy samples a session took.  Read by its own registry
+    only (a :class:`~repro.telemetry.probe.Counts` would also join any
+    session active when this one was made)."""
 
-    METRICS = {
-        "dropped_events": "telemetry.dropped_events",
-        "occupancy_samples": "occupancy.samples",
-    }
+    METRICS = {"occupancy_samples": "occupancy.samples"}
 
     def __init__(self) -> None:
-        self.dropped_events = 0
         self.occupancy_samples = 0
 
 
 class TraceSession:
     """Context-managed telemetry collection for one run."""
 
-    def __init__(
-        self,
-        name: str = "trace",
-        kernel_events: bool = False,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ):
-        self.name = name
+    def __init__(self, *, kernel_events: bool = False, spans: bool = True):
         #: when True, the simulator kernel emits one instant per dispatched
         #: event — enormous traces, useful only for microscopic debugging
         self.kernel_events = kernel_events
-        self.max_events = max_events
+        #: when False, spans and instants are neither kept nor counted
+        #: (campaign jobs run ``spans=False``)
+        self.spans = spans
         self.registry = MetricsRegistry()
         for core in CORE_COUNTERS:
             self.registry.counter(core)
         self.events: List[TraceEvent] = []
-        # span-capped sessions (campaign workers run max_events=0) drop
-        # EVERY span: one increment each
         self.counts = SessionCounts()
         self.registry.add_counts(self.counts)
         self.snapshots: List[dict] = []
         #: request-journey tracker; journeys are metric-like — small,
-        #: bounded — so they stay on even for span-capped sessions (the
-        #: campaign workers run max_events=0)
+        #: bounded — so they stay on in ``spans=False`` sessions too
         self.journeys = JourneyTracker()
         #: arrival-driven queue-depth sampler
         self.occupancy = OccupancySampler()
@@ -151,12 +132,10 @@ class TraceSession:
         args: Optional[dict] = None,
     ) -> None:
         """Record a bounded span [start_ps, end_ps] in simulated time."""
-        if len(self.events) >= self.max_events:
-            self.counts.dropped_events += 1
-            return
-        self.events.append(
-            TraceEvent("X", category, name, start_ps, max(0, end_ps - start_ps), args)
-        )
+        if self.spans:
+            self.events.append(
+                TraceEvent("X", category, name, start_ps, max(0, end_ps - start_ps), args)
+            )
 
     def instant(
         self,
@@ -166,10 +145,8 @@ class TraceSession:
         args: Optional[dict] = None,
     ) -> None:
         """Record a point event at ``ts_ps``."""
-        if len(self.events) >= self.max_events:
-            self.counts.dropped_events += 1
-            return
-        self.events.append(TraceEvent("i", category, name, ts_ps, None, args))
+        if self.spans:
+            self.events.append(TraceEvent("i", category, name, ts_ps, None, args))
 
     # -- metric shortcuts ---------------------------------------------------
 
@@ -219,43 +196,18 @@ class TraceSession:
 
     # -- export -------------------------------------------------------------
 
-    def _chrome_extras(self) -> List[dict]:
-        """Journey spans/flow links, plus the truncation marker when the
-        event cap clipped the trace."""
-        extras = journey_chrome_extras(self.journeys.completed)
-        dropped = self.counts.dropped_events
-        if dropped:
-            last_ps = max(
-                [e.ts_ps + (e.dur_ps or 0) for e in self.events]
-                + [x["ts_ps"] + (x.get("dur_ps") or 0) for x in extras]
-                + [0]
-            )
-            extras.append(
-                truncation_marker(dropped, self.max_events, last_ps)
-            )
-        return extras
-
     def chrome_events(self) -> List[dict]:
-        """Chrome ``trace_event`` dicts (sorted by timestamp)."""
-        return to_chrome_events(self.events, self._chrome_extras())
+        """Chrome ``trace_event`` dicts (sorted by timestamp), journey
+        spans and flow links included."""
+        return to_chrome_events(
+            self.events, journey_chrome_extras(self.journeys.completed)
+        )
 
     def write_chrome(self, path: str) -> int:
         """Write the Chrome trace JSON; returns the number of events."""
-        return write_chrome_trace(path, self.events, self._chrome_extras())
-
-    def write_metrics(self, path: str, extra_records: Optional[List[dict]] = None) -> int:
-        """Write the JSONL metrics artifact; returns the number of records.
-
-        The record stream is: any ``extra_records`` the caller prepends
-        (meta, results), then one snapshot record per :meth:`snapshot` call
-        in emission order — the last snapshot is the run's final state.
-        """
-        records = list(extra_records or [])
-        for snap in self.snapshots:
-            records.append(
-                snapshot_record(snap["label"], snap["ts_ps"], snap["metrics"])
-            )
-        return write_jsonl(path, records)
+        return write_chrome_trace(
+            path, self.events, journey_chrome_extras(self.journeys.completed)
+        )
 
     # -- attribution --------------------------------------------------------
 
@@ -269,8 +221,3 @@ class TraceSession:
         folded = LatencyBreakdown()
         folded.add_records(self.journey_records())
         return folded
-
-    def write_attribution(self, path: str) -> int:
-        """Write the ``repro.attribution/v1`` journey artifact; returns the
-        record count."""
-        return write_jsonl(path, session_attribution_records(self))

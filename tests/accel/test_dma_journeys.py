@@ -13,7 +13,7 @@ class TestDmaJourneys:
         assert "accel.dma" not in QUEUE_STAGES
 
     def test_table5_dma_journeys_attribute_fully(self):
-        with TraceSession("t5-journeys", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             run_table5(size_mib=1)
         breakdown = session.breakdown()
         scenarios = set(breakdown.scenarios())

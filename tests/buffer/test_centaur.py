@@ -162,7 +162,7 @@ class TestLatencyConfigs:
     def test_service_latency_recorded(self):
         sim = Simulator()
         centaur = make_centaur(sim)
-        with TraceSession("unit") as session:
+        with TraceSession() as session:
             run_command(sim, centaur, Command(Opcode.READ, 0, 0))
         registry = session.registry
         assert registry.histogram("buffer.service_ps").count == 1

@@ -40,5 +40,6 @@ def test_samples_lands_on_the_size_knob():
     # tiered_replay's first default is its policy, not its size
     from repro.campaign import run_experiment
 
-    _, (table,) = run_experiment("tiered_replay", samples=4, max_events=0)
+    _, report = run_experiment("tiered_replay", samples=4, spans=False)
+    (table,) = report.tables()
     assert table.rows[0][:3] == ["clock", "graph", 4]

@@ -20,8 +20,11 @@ from repro.campaign import (
     ScenarioMatrix,
     execute_job,
     read_manifest,
+    run_campaign,
+    run_experiment,
 )
-from repro.telemetry import MetricsRegistry, read_jsonl
+from repro.report import read_artifact
+from repro.telemetry import MetricsRegistry
 
 #: one metric event of a job: a count, a histogram sample or a gauge level
 EVENT = st.one_of(
@@ -117,6 +120,9 @@ class TestExecution:
             CampaignRunner([], workers=0)
         with pytest.raises(ValueError):
             CampaignRunner([], retries=-1)
+        for timeout_s in (0, -1.0):
+            with pytest.raises(ValueError):
+                CampaignRunner([], timeout_s=timeout_s)
 
 
 class TestCacheIntegration:
@@ -203,13 +209,32 @@ class TestManifestAndResume:
         assert report.outcomes[0].ok
 
 
+class TestOneOffRun:
+    def test_run_experiment_is_a_one_job_campaign(self, tmp_path):
+        # the one-off path runs the job a matrix gives the same cell and
+        # writes through the campaign writer: the same attribution bytes,
+        # and metrics that differ only in the meta record
+        _, report = run_experiment("table3", tmp_path / "one", samples=2)
+        matrix = ScenarioMatrix()
+        matrix.add("table3", samples=[2], seed=[0])
+        jobs = matrix.expand()
+        assert [o.job for o in report.outcomes] == jobs
+        run_campaign(jobs, tmp_path / "campaign", params={})
+        one, campaign = tmp_path / "one", tmp_path / "campaign"
+        assert (one / "attribution.jsonl").read_bytes() == (
+            campaign / "attribution.jsonl").read_bytes()
+        a = (one / "metrics.jsonl").read_text().splitlines()
+        b = (campaign / "metrics.jsonl").read_text().splitlines()
+        assert a[1:] == b[1:]
+
+
 class TestTelemetryMerge:
     def test_merged_artifact_aggregates_worker_snapshots(self, tmp_path):
         jobs = ScenarioMatrix.paper(only=["table3", "table2"]).expand()
         report = CampaignRunner(jobs, workers=2).run()
         report.write_artifacts(tmp_path, params={"jobs": 2})
 
-        records = read_jsonl(str(tmp_path / "metrics.jsonl"))
+        records, _ = read_artifact(tmp_path / "metrics.jsonl")
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "meta"
         assert kinds.count("result") == len(report.tables())
@@ -257,7 +282,7 @@ class TestTelemetryMerge:
         a = tmp_path / "serial" / "attribution.jsonl"
         assert a.read_bytes() == (tmp_path / "parallel" / "attribution.jsonl").read_bytes()
 
-        records = read_jsonl(str(a))
+        records, _ = read_artifact(a)
         meta = records[0]
         assert meta["kind"] == "meta"
         assert meta["sources"] == sorted(f"job:{j.job_id}" for j in jobs)

@@ -5,6 +5,7 @@ import pytest
 from repro import CardSpec, ContuttoSystem, ResultTable
 from repro.buffer import LATENCY_OPTIMIZED
 from repro.errors import ConfigurationError
+from repro.telemetry import TraceSession
 from repro.units import GIB, MIB
 
 
@@ -127,3 +128,36 @@ class TestResultTable:
         table.add_row("a", 1)
         table.add_row("b", 2)
         assert table.column("v") == [1, 2]
+
+
+class TestBootJourneys:
+    #: every card kind and memory type, each in a system firmware boots
+    #: (DRAM from address 0, so non-DRAM cards ride on channel 2 or
+    #: behind their own DRAM tier)
+    BUILDS = {
+        "centaur/dram": [CardSpec(slot=0)],
+        "contutto/dram": [CardSpec(slot=0, kind="contutto")],
+        "contutto/mram": [
+            CardSpec(slot=2, kind="centaur"),
+            CardSpec(slot=0, kind="contutto", memory="mram",
+                     capacity_per_dimm=128 * MIB),
+        ],
+        "contutto/nvdimm": [
+            CardSpec(slot=0, kind="contutto", capacity_per_dimm=256 * MIB),
+            CardSpec(slot=2, kind="contutto", memory="nvdimm"),
+        ],
+        "contutto/tiered": [
+            CardSpec(slot=0, kind="contutto", memory="tiered",
+                     capacity_per_dimm=256 * MIB),
+        ],
+    }
+
+    def test_building_begins_no_journey(self):
+        # boot traffic is never journeyed, so experiments need no boot
+        # scenario label to keep it out of their measurements
+        for name, specs in self.BUILDS.items():
+            with TraceSession() as session:
+                ContuttoSystem.build(specs)
+            tracker = session.journeys
+            begun = len(tracker.completed) + tracker.active_count + tracker.dropped
+            assert begun == 0, name

@@ -23,7 +23,7 @@ CASES = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_two_pumps_per_command_and_the_same_frames(case):
     run, pumps, frames_sent = CASES[case]
-    with TraceSession("pumps", max_events=0) as session, profiled() as prof:
+    with TraceSession(spans=False) as session, profiled() as prof:
         run()
     metrics = session.registry.snapshot()
     counts = prof.counts_by_key()

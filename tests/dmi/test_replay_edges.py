@@ -149,7 +149,7 @@ class TestReplayBufferBackpressure:
 
 class TestDmiMetricCounters:
     def test_error_counters_surface_in_registry(self):
-        with TraceSession("dmi") as session:
+        with TraceSession() as session:
             sim = Simulator()
             channel, _ = make_channel(sim)
             train(sim, channel)
@@ -163,7 +163,7 @@ class TestDmiMetricCounters:
         assert snapshot["dmi.channel_failed"] == 1
 
     def test_clean_run_reports_no_error_counters(self):
-        with TraceSession("dmi") as session:
+        with TraceSession() as session:
             sim = Simulator()
             channel, _ = make_channel(sim)
             train(sim, channel)

@@ -14,8 +14,8 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.report import SuiteRunner, SuiteSpec
-from repro.telemetry import fault_window_record, read_attribution
+from repro.report import SuiteRunner, SuiteSpec, read_artifact
+from repro.telemetry import fault_window_record
 from repro.telemetry.attribution import fault_window_records
 
 PLAN = FaultPlan(name="smoke", specs=(FaultSpec(
@@ -76,7 +76,7 @@ class TestWorkerCountInvariance:
         (job,) = fault_jobs(plan_json)
         own = execute_job((job.experiment, job.kwargs, job.seed))["fault_windows"]
         assert own
-        windows = fault_window_records(read_attribution(serial / "attribution.jsonl"))
+        windows = fault_window_records(read_artifact(serial / "attribution.jsonl")[0])
         assert windows == [
             {**fault_window_record(w), "source": f"job:{job.job_id}"} for w in own
         ]
@@ -93,7 +93,7 @@ class TestJourneyCounts:
         for tag, workers in (("cold", 1), ("warm", 2)):
             report = run_campaign(jobs, tmp_path / tag, params={},
                                   workers=workers, cache=cache)
-            meta = read_attribution(tmp_path / tag / "attribution.jsonl")[0]
+            meta = read_artifact(tmp_path / tag / "attribution.jsonl")[0][0]
             assert (meta["dropped"], meta["abandoned"]) == (0, 1)
             (outcome,) = report.outcomes
             assert outcome.payload["journeys_abandoned"] == 1

@@ -122,7 +122,7 @@ class TestExecution:
 
 class TestTelemetry:
     def test_journeys_tagged_inside_window_only(self):
-        with TraceSession("faults") as session:
+        with TraceSession() as session:
             system = build()
             read(system)  # clean journey, pre-fault
             plan = FaultPlan(specs=(FaultSpec(
@@ -138,7 +138,7 @@ class TestTelemetry:
         assert faults[-1] == ()
 
     def test_counters_reach_registry(self):
-        with TraceSession("faults") as session:
+        with TraceSession() as session:
             system = build()
             plan = FaultPlan(specs=(
                 FaultSpec("dmi.frame_drop", target="0", at_ps=0,
@@ -156,7 +156,7 @@ class TestTelemetry:
         assert snapshot["faults.recovered"] == 1
 
     def test_stop_detaches_fault_probe(self):
-        with TraceSession("faults") as session:
+        with TraceSession() as session:
             system = build()
             plan = FaultPlan(specs=(FaultSpec(
                 "dmi.frame_drop", target="0", at_ps=0, label="x"),))

@@ -147,7 +147,7 @@ class TestStorageInjectors:
 
 class TestFaultWindowPublication:
     def test_controller_stop_publishes_windows_to_session(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             sim = Simulator()
             ssd = SolidStateDrive(sim, 1 * GIB)
             system = SimpleNamespace(sim=sim, storage_devices={"ssd": ssd})

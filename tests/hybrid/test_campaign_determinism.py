@@ -8,7 +8,7 @@ tables.
 """
 
 from repro.campaign import CampaignRunner, ScenarioMatrix
-from repro.telemetry import read_jsonl
+from repro.report import read_artifact
 
 
 def tiered_matrix():
@@ -42,7 +42,7 @@ class TestTieredCampaign:
         a = tmp_path / "serial" / "attribution.jsonl"
         assert a.read_bytes() == (tmp_path / "parallel" / "attribution.jsonl").read_bytes()
 
-        records = read_jsonl(str(a))
+        records, _ = read_artifact(a)
         scenarios = {r["scenario"] for r in records
                      if r["kind"] == "end_to_end"}
         assert scenarios == {
@@ -57,7 +57,7 @@ class TestTieredCampaign:
     def test_tier_counters_land_in_the_merged_snapshot(self, tmp_path):
         report = CampaignRunner(tiered_matrix().expand(), workers=2).run()
         report.write_artifacts(tmp_path, params={"jobs": 2})
-        snapshots = [r for r in read_jsonl(str(tmp_path / "metrics.jsonl"))
+        snapshots = [r for r in read_artifact(tmp_path / "metrics.jsonl")[0]
                      if r["kind"] == "snapshot"]
         merged = snapshots[-1]["metrics"]
         assert snapshots[-1]["label"] == "merged"

@@ -63,7 +63,7 @@ class TestTieredReplayExperiment:
 
 class TestTieredAttribution:
     def _breakdown(self, policy, workload="kv"):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             run_tiered_replay(policy=policy, workload=workload, ops=64)
             b = LatencyBreakdown()
             b.add_records(

@@ -9,7 +9,8 @@ import pytest
 
 from repro import run_table3
 from repro.processor import SocketConfig
-from repro.telemetry import TraceSession, final_snapshot, read_jsonl
+from repro.report import read_artifact
+from repro.telemetry import TraceSession, final_snapshot
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -27,7 +28,7 @@ def run_script(script, *args):
 
 @pytest.fixture(scope="module")
 def traced_table3():
-    with TraceSession("table3") as session:
+    with TraceSession() as session:
         table = run_table3(samples=4)
     return session, table
 
@@ -67,7 +68,7 @@ class TestTracedRun:
     def test_kernel_events_cover_signal_driven_runs(self):
         # experiments drive the kernel through run_until_signal, which must
         # honour kernel_events just like run() does
-        with TraceSession("t", kernel_events=True) as session:
+        with TraceSession(kernel_events=True) as session:
             run_table3(samples=2)
         kernel_instants = [
             e for e in session.events if e.ph == "i" and e.category == "kernel"
@@ -127,7 +128,7 @@ class TestAttribution:
         per_scenario = {}
         for journey in session.journeys.completed:
             per_scenario.setdefault(journey.scenario, []).append(journey)
-        measured = {s for s in per_scenario if not s.endswith(":boot")}
+        measured = set(per_scenario)
         assert measured == {
             "centaur", "function_matched", "contutto_base",
             "contutto_knob2", "contutto_knob6", "contutto_knob7",
@@ -184,7 +185,7 @@ class TestCli:
         assert starts == finishes == ids
         assert any(e["cat"] == "journey" and e["ph"] == "X" for e in events)
 
-        records = read_jsonl(out / "metrics.jsonl")
+        records, _ = read_artifact(out / "metrics.jsonl")
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "meta"
         assert "result" in kinds
@@ -192,7 +193,7 @@ class TestCli:
         assert snap["dmi.frames_sent"] > 0
         assert "buffer.cache.misses" in snap
 
-        attribution = read_jsonl(out / "attribution.jsonl")
+        attribution, _ = read_artifact(out / "attribution.jsonl")
         assert attribution[0]["kind"] == "meta"
         assert attribution[0]["journeys"] >= 24
         assert any(r["kind"] == "journey" for r in attribution)

@@ -118,6 +118,12 @@ class TestSpecValidation:
                            match="unknown campaign fields: fold_attribution"):
             SuiteSpec.from_dict(bad)
 
+    def test_unknown_request_class_rejected(self):
+        bad = spec_dict()
+        bad["services"][0]["schedule"]["tenants"][0]["klass"] = "http_get"
+        with pytest.raises(ConfigurationError, match="unknown request class"):
+            SuiteSpec.from_dict(bad)
+
     def test_kernel_profile_false_disables_pass(self):
         spec = SuiteSpec.from_dict(spec_dict(kernel_profile=False))
         assert spec.profile_job() is None
@@ -234,6 +240,23 @@ class TestSuiteRun:
         assert "<script" not in html
         assert "http://" not in html and "https://" not in html
         assert html.count("<svg") >= 3
+
+    def test_service_calibration_takes_the_suite_retries(self, tmp_path):
+        # a job that always times out is attempted retries + 1 times
+        spec = SuiteSpec.from_dict(spec_dict(
+            campaigns=[], tunes=[], kernel_profile=False,
+        ))
+        result = SuiteRunner(
+            spec, tmp_path / "out", cache=None, retries=0, timeout_s=1e-6,
+        ).run()
+        assert not result.ok
+        records = [
+            json.loads(line) for line in
+            (tmp_path / "out" / "service-svc" / "manifest.jsonl").open()
+        ]
+        (job,) = [r for r in records if r["kind"] == "job"]
+        assert job["experiment"] == "service_calibrate"
+        assert job["status"] == "failed" and job["attempts"] == 1
 
     def test_no_profile_run_omits_kernel_section(self, tmp_path):
         spec = SuiteSpec.from_dict(spec_dict(

@@ -61,6 +61,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Tenant("t", "mem_read", weight=0.0)
 
+    def test_rejects_unknown_request_class(self):
+        # refused when the schedule loads, not inside the calibration job
+        with pytest.raises(ConfigurationError, match="unknown request class 'http_get'"):
+            Tenant("t", "http_get")
+
 
 class TestRates:
     def test_phases_are_additive(self):

@@ -96,7 +96,7 @@ class TestFaultComposition:
         plan = FaultPlan(name="svc", specs=(FaultSpec(
             "dmi.frame_drop", target="0", schedule="periodic",
             start_ps=0, period_ps=500_000, count=4, label="drop"),))
-        with TraceSession("svc-faults", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             profile = calibrate("mem_read", 8, seed=3, faults=plan)
         assert len(profile.samples_ps) == 8
         # overload + faults still tile every journey: zero residual

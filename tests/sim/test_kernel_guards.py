@@ -47,7 +47,7 @@ def hooks(mode):
     """
     kernel_events, profile_on = HOOK_MODES[mode]
     with ExitStack() as stack:
-        session = stack.enter_context(TraceSession("unit", kernel_events=kernel_events))
+        session = stack.enter_context(TraceSession(kernel_events=kernel_events))
         prof = stack.enter_context(profiled()) if profile_on else None
         yield session, prof
 

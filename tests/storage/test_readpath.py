@@ -161,7 +161,7 @@ class TestDirectStore:
 
 class TestReadAttribution:
     def test_hit_and_miss_stages_tile_with_zero_residual(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             session.journeys.set_scenario("gpfs:read")
             sim = Simulator()
             log = SolidStateDrive(sim, 256 * MIB)

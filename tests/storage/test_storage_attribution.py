@@ -31,7 +31,7 @@ def breakdown_of(session) -> LatencyBreakdown:
 
 class TestFioAttribution:
     def test_ssd_journeys_have_zero_residual(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             session.journeys.set_scenario("fio:ssd")
             sim = Simulator()
             ssd = SolidStateDrive(sim, 1 * GIB)
@@ -42,7 +42,7 @@ class TestFioAttribution:
         assert "storage.service" in b.stages("fio:ssd")
 
     def test_queue_depth_shows_up_as_storage_queue(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             session.journeys.set_scenario("fio:ssd")
             sim = Simulator()
             ssd = SolidStateDrive(sim, 1 * GIB)
@@ -55,7 +55,7 @@ class TestFioAttribution:
         assert "storage.queue" in b.stages("fio:ssd")
 
     def test_bare_submit_opens_owned_journey(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             session.journeys.set_scenario("bare")
             sim = Simulator()
             ssd = SolidStateDrive(sim, 1 * GIB)
@@ -69,7 +69,7 @@ class TestGpfsWriteCacheAttribution:
     def _run(self):
         """GPFS over the pmem-logged write cache with a geometry tiny
         enough that the single-threaded writer stalls behind destages."""
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             session.journeys.set_scenario("gpfs:wcache")
             system = ContuttoSystem.build(
                 [CardSpec(slot=2, kind="centaur", capacity_per_dimm=1 * GIB),

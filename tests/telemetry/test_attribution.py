@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.campaign import CampaignJob, CampaignReport, JobOutcome
+from repro.campaign.worker import run_job
+from repro.core.results import ResultTable
+from repro.report import read_artifact
 from repro.telemetry import (
     ATTRIBUTION_SCHEMA,
     JourneyTracker,
@@ -10,12 +14,12 @@ from repro.telemetry import (
     TraceSession,
     journey_record,
     merge_attribution,
-    read_attribution,
+    probe,
+    write_jsonl,
 )
 from repro.telemetry.attribution import (
     journey_chrome_extras,
     journey_records,
-    write_attribution,
 )
 
 
@@ -191,15 +195,23 @@ class TestLatencyBreakdown:
 
 class TestArtifact:
     def test_round_trip(self, tmp_path):
-        with TraceSession("unit") as session:
-            make_journey(session.journeys, scenario="t3")
-        path = tmp_path / "attribution.jsonl"
-        session.write_attribution(path)
-        records = read_attribution(path)
+        # a session's journeys reach disk through the campaign writer,
+        # tagged with their job as source
+        def runner(seed):
+            make_journey(probe.tracker(), scenario="t3")
+            return ResultTable("unit", ["x"])
+
+        job = CampaignJob.make("unit", {}, 0)
+        _, payload = run_job(job, runner)
+        CampaignReport([JobOutcome(job, "run", payload)], 0.0, 1).write_artifacts(
+            tmp_path, {}
+        )
+        records, _ = read_artifact(tmp_path / "attribution.jsonl")
         assert all(r["schema"] == ATTRIBUTION_SCHEMA for r in records)
         assert records[0]["kind"] == "meta"
         assert records[0]["journeys"] == 1
         assert records[0]["scenarios"] == ["t3"]
+        assert records[0]["sources"] == ["job:unit[]#s0"]
         kinds = {r["kind"] for r in records}
         assert {"meta", "journey", "end_to_end", "stage_summary"} <= kinds
         journeys = journey_records(records)
@@ -235,8 +247,8 @@ class TestArtifact:
             [("w0", [journey_record(j) for j in tracker.completed])]
         )
         path = tmp_path / "merged.jsonl"
-        write_attribution(path, records)
-        assert read_attribution(path) == records
+        write_jsonl(path, records)
+        assert read_artifact(path) == (records, [])
 
 
 class TestChromeFlows:
@@ -257,7 +269,7 @@ class TestChromeFlows:
         assert flows[-1]["bp"] == "e"
 
     def test_session_export_carries_journeys(self):
-        with TraceSession("t") as session:
+        with TraceSession() as session:
             session.complete("dmi", "frame", 0, 500)
             make_journey(session.journeys)
         events = session.chrome_events()
@@ -277,7 +289,7 @@ class TestChromeFlows:
 
 class TestOccupancySampler:
     def test_period_gating(self):
-        with TraceSession("t") as session:
+        with TraceSession() as session:
             sampler = OccupancySampler(period_ps=100)
             sampler.set_sources({"q": lambda: 3})
             assert sampler.maybe_sample(session, 0)
@@ -290,7 +302,7 @@ class TestOccupancySampler:
         assert snap["occupancy.q.mean"] == 3
 
     def test_no_sources_means_no_samples(self):
-        with TraceSession("t") as session:
+        with TraceSession() as session:
             sampler = OccupancySampler(period_ps=100)
             assert not sampler.maybe_sample(session, 0)
         assert session.counts.occupancy_samples == 0
@@ -300,6 +312,6 @@ class TestOccupancySampler:
             OccupancySampler(period_ps=0)
 
     def test_session_wires_sampler_and_tracker(self):
-        with TraceSession("t") as session:
+        with TraceSession() as session:
             assert session.journeys is not None
             assert session.occupancy is not None

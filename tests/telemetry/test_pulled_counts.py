@@ -93,7 +93,7 @@ def assert_reads(session, moved, *counts):
 
 class TestCountsNoPinnedJobMoves:
     def test_buffer_cache_writebacks(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             # one set of two ways: the third dirty fill evicts a dirty line
             cache = BufferCache(capacity_bytes=2 * 128, ways=2,
                                 prefetch_next_line=False)
@@ -105,7 +105,7 @@ class TestCountsNoPinnedJobMoves:
                                "buffer.cache.misses"], cache.counts)
 
     def test_tier_migration_stalls(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             page = 256
             dev = TieredMemory(
                 DdrDram(2 * page, name="t.fast"), SttMram(4 * page, name="t.slow"),
@@ -120,7 +120,7 @@ class TestCountsNoPinnedJobMoves:
         assert_reads(session, ["tier.migration_stalls"], dev.counts)
 
     def test_write_cache_reads_wraps_and_errors(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             sim = Simulator()
             log = SolidStateDrive(sim, 1 * MIB)
             disk = HardDiskDrive(sim, 1 * GIB)
@@ -151,13 +151,13 @@ class TestScope:
     def test_component_built_outside_a_session_adds_nothing(self):
         cache = BufferCache(capacity_bytes=2 * 128, ways=2)
         cache.lookup(0)
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             cache.lookup(0)
         assert cache.counts.misses == 2
         assert session.snapshots[-1]["metrics"]["buffer.cache.misses"] == 0
 
     def test_reset_leaves_pulled_counts_alone(self):
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             cache = BufferCache(capacity_bytes=2 * 128, ways=2)
             cache.lookup(0)
             session.count("buffer.cache.misses", 5)
@@ -172,7 +172,7 @@ class TestScope:
             return sum(link.counts.frames_sent
                        for link in (channel.down_link, channel.up_link))
 
-        with TraceSession("t", max_events=0) as session:
+        with TraceSession(spans=False) as session:
             first = ContuttoSystem.build([CardSpec(slot=0, kind="centaur")], seed=0)
             link = weakref.ref(first.socket.slots[0].channel.down_link)
             first_sent = frames_sent(first)

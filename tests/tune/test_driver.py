@@ -8,7 +8,7 @@ import json
 from collections import Counter
 
 from repro.campaign import ResultCache
-from repro.telemetry import read_attribution
+from repro.report import read_artifact
 from repro.telemetry.attribution import journey_records
 from repro.tune import TuneDriver, TuneSpec
 
@@ -82,7 +82,7 @@ class TestDriver:
         assert artifact == (out3 / "attribution.jsonl").read_bytes()
         assert artifact == (out_warm / "attribution.jsonl").read_bytes()
 
-        records = read_attribution(out1 / "attribution.jsonl")
+        records, _ = read_artifact(out1 / "attribution.jsonl")
         meta = records[0]
         per_trial = {f"job:{o.job.job_id}": len(o.payload["attribution"])
                      for o in cold.campaign.outcomes}
@@ -98,7 +98,7 @@ class TestDriver:
             json.loads(line)["key"]
             for line in (out / "pareto.jsonl").read_text().splitlines()[1:]
         ]
-        records = read_attribution(out / "attribution.jsonl")
+        records, _ = read_artifact(out / "attribution.jsonl")
         assert records[0]["scenarios"] == sorted(
             f"tune:mem_read:{key}" for key in keys
         )

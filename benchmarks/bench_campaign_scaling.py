@@ -19,6 +19,11 @@ fresh interpreters, of start-up plus ``import repro.campaign.worker``
 plus one ``table3[samples=1]`` job (the shape of the repo benchmark's
 ``setup_s``), and how many ``repro`` modules that loads.
 
+Last, a fresh interpreter runs the matrix's jobs one after another
+through ``execute_job``, as a pool worker does.  It fails if any job
+leaves a ``Simulator`` alive once it returns, and its peak RSS is
+recorded as ``jobs_peak_rss_mib`` (recorded, not gated).
+
 Standalone:      python benchmarks/bench_campaign_scaling.py
 Under pytest:    pytest benchmarks/bench_campaign_scaling.py -s
 """
@@ -53,6 +58,24 @@ out = repro.campaign.worker.execute_job(("table3", (("samples", 1),), 0))
 done = time.monotonic()
 assert out["status"] == "ok", out.get("traceback")
 print(json.dumps([done, sum(m == "repro" or m.startswith("repro.") for m in sys.modules)]))
+"""
+
+
+#: the jobs child: run each job given as ``[experiment, kwargs, seed]``
+#: in turn, fail if one leaves a Simulator alive, report peak RSS (KiB)
+JOBS_CHILD = """\
+import gc, json, resource, sys
+from repro.campaign import CampaignJob
+from repro.campaign.worker import execute_job
+from repro.sim import Simulator
+for experiment, kwargs, seed in json.loads(sys.argv[1]):
+    job = CampaignJob.make(experiment, kwargs, seed)
+    out = execute_job((job.experiment, job.kwargs, job.seed))
+    assert out["status"] == "ok", out.get("traceback")
+    alive = sum(isinstance(o, Simulator) for o in gc.get_objects())
+    if alive:
+        raise RuntimeError(f"{job.job_id} left {alive} Simulator(s) alive")
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
 """
 
 
@@ -93,6 +116,18 @@ def cold_start(runs: int = COLD_START_RUNS):
     return statistics.median(times), modules.pop()
 
 
+def jobs_peak_rss_mib(jobs) -> float:
+    """Peak RSS (MiB) of a fresh interpreter that runs ``jobs`` one after
+    another; raises if any job leaves a ``Simulator`` alive."""
+    spec = json.dumps([[job.experiment, job.kwargs_dict, job.seed] for job in jobs])
+    proc = subprocess.run([sys.executable, "-c", JOBS_CHILD, spec],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"jobs child failed:\n{proc.stderr}")
+    return int(proc.stdout.splitlines()[-1]) / 1024
+
+
 def _timed_run(jobs, workers, cache):
     t0 = time.perf_counter()
     report = CampaignRunner(jobs, workers=workers, cache=cache).run()
@@ -109,6 +144,7 @@ def run_scaling(artifact_path: str = ARTIFACT) -> dict:
     host = host_facts()
     cpu_count = host["cpu_count"]
     cold_start_s, cold_start_modules = cold_start()
+    peak_rss_mib = jobs_peak_rss_mib(jobs)
     # always at least 2 so the pool path is actually exercised; on a
     # single-core host that measures pure scheduling overhead
     workers = max(2, min(4, cpu_count))
@@ -137,6 +173,7 @@ def run_scaling(artifact_path: str = ARTIFACT) -> dict:
         "cold_start_modules": cold_start_modules,
         "parallel_workers": workers,
         "jobs": len(jobs),
+        "jobs_peak_rss_mib": round(peak_rss_mib, 1),
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
         "cached_s": round(cached_s, 4),

@@ -177,10 +177,11 @@ class AccessProcessor:
         trace = probe.session  # re-fetch: program runs span many sim events
         if trace is not None:
             executed = self.perf.instructions - instructions_at_start
-            trace.complete(
-                "accel", f"program:{self.name}", start_ps, self.sim.now_ps,
-                {"threads": len(contexts), "instructions": executed},
-            )
+            if trace.spans:
+                trace.complete(
+                    "accel", f"program:{self.name}", start_ps, self.sim.now_ps,
+                    {"threads": len(contexts), "instructions": executed},
+                )
             trace.count("accel.programs")
             trace.count("accel.instructions", executed)
         return contexts
@@ -369,7 +370,7 @@ class AccessProcessor:
             data = yield from self._dma_read(addr, length)
             self.perf.dma_bytes_read += len(data)
             trace = probe.session  # re-fetch: stream spans many sim events
-            if trace is not None:
+            if trace is not None and trace.spans:
                 trace.complete(
                     "accel", f"dmard:{self.name}", t0, self.sim.now_ps,
                     {"bytes": len(data)},
@@ -384,7 +385,7 @@ class AccessProcessor:
             yield from self._dma_write(addr, data)
             self.perf.dma_bytes_written += len(data)
             trace = probe.session  # re-fetch: stream spans many sim events
-            if trace is not None:
+            if trace is not None and trace.spans:
                 trace.complete(
                     "accel", f"dmawr:{self.name}", t0, self.sim.now_ps,
                     {"bytes": len(data)},

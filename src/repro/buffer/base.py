@@ -42,10 +42,11 @@ class MemoryBuffer:
         def respond_and_record(response: Response) -> None:
             trace = probe.session
             if trace is not None:
-                trace.complete(
-                    "buffer", f"{self.kind}.{command.opcode.value}",
-                    started, self.sim.now_ps, {"addr": command.address},
-                )
+                if trace.spans:
+                    trace.complete(
+                        "buffer", f"{self.kind}.{command.opcode.value}",
+                        started, self.sim.now_ps, {"addr": command.address},
+                    )
                 trace.count(f"buffer.{self.kind}.commands")
                 trace.record("buffer.service_ps", self.sim.now_ps - started)
             respond(response)

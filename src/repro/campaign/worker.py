@@ -18,11 +18,14 @@ can retry or record it without losing the rest of the campaign.
 :func:`run_job` is also the one-off path: ``repro.campaign.runner.
 run_experiment`` runs one experiment as a one-job campaign through it,
 with the session the caller asks for and the experiment's exceptions
-raised.
+raised.  Either way a job frees what it built before :func:`run_job`
+returns, so a worker that runs many jobs holds one job's systems at a
+time.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 import traceback
 from typing import Callable, Dict, List, Tuple
@@ -40,24 +43,46 @@ def run_job(
     ``session_options`` go to the session.  Returns the closed session
     and the job's ``status="ok"`` payload; the runner's exceptions
     propagate.
+
+    The job's garbage is freed before this returns, whether the job
+    succeeds or raises.  Its simulated systems are reference cycles that
+    only the cyclic collector frees, so every object alive before the
+    job is frozen (``gc.freeze``) and the closing ``gc.collect`` scans
+    the job's objects alone.  The caller's collector state is left as
+    found: it is never switched on or off, and a caller that froze
+    objects itself keeps them frozen (the collection then scans every
+    object it did not freeze).
     """
-    t0 = time.perf_counter()
-    with TraceSession(**session_options) as session:
-        result = runner(**job.kwargs_dict, seed=job.seed)
-    tracker = session.journeys
-    return session, {
-        "status": "ok",
-        "job_id": job.job_id,
-        "result": result,
-        # the "final" snapshot the session took on exit
-        "metrics": session.snapshots[-1]["metrics"],
-        "amounts": session.registry.amounts(),
-        "attribution": session.journey_records(),
-        "journeys_dropped": tracker.dropped,
-        "journeys_abandoned": tracker.active_count,
-        "fault_windows": session.fault_windows,
-        "duration_s": time.perf_counter() - t0,
-    }
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    try:
+        t0 = time.perf_counter()
+        with TraceSession(**session_options) as session:
+            result = runner(**job.kwargs_dict, seed=job.seed)
+        tracker = session.journeys
+        return session, {
+            "status": "ok",
+            "job_id": job.job_id,
+            "result": result,
+            # the "final" snapshot the session took on exit
+            "metrics": session.snapshots[-1]["metrics"],
+            "amounts": session.registry.amounts(),
+            "attribution": session.journey_records(),
+            "journeys_dropped": tracker.dropped,
+            "journeys_abandoned": tracker.active_count,
+            "fault_windows": session.fault_windows,
+            "duration_s": time.perf_counter() - t0,
+        }
+    except BaseException as exc:
+        # the traceback's finished frames still hold the failed job's
+        # systems; drop their locals so the collection below frees them
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    finally:
+        gc.collect()
+        if freeze:
+            gc.unfreeze()
 
 
 def execute_job(message: Tuple[str, tuple, int]) -> Dict[str, object]:

@@ -231,7 +231,7 @@ class FrameEndpoint:
         self._consecutive_replays += 1
         self.counts.replays_triggered += 1
         trace = probe.session
-        if trace is not None:
+        if trace is not None and trace.spans:
             trace.instant(
                 "dmi", f"replay:{self.name}", self.sim.now_ps,
                 {"consecutive": self._consecutive_replays,
@@ -292,10 +292,11 @@ class FrameEndpoint:
         self.failure = exc
         trace = probe.session
         if trace is not None:
-            trace.instant(
-                "dmi", f"channel_failed:{self.name}", self.sim.now_ps,
-                {"error": str(exc)},
-            )
+            if trace.spans:
+                trace.instant(
+                    "dmi", f"channel_failed:{self.name}", self.sim.now_ps,
+                    {"error": str(exc)},
+                )
             trace.count("dmi.channel_failed")
         if self.on_fail is not None:
             self.on_fail(exc)
@@ -357,7 +358,8 @@ class FrameEndpoint:
             self.crc_drops += 1
             trace = probe.session
             if trace is not None and not is_training:
-                trace.instant("dmi", f"crc_drop:{self.name}", self.sim.now_ps)
+                if trace.spans:
+                    trace.instant("dmi", f"crc_drop:{self.name}", self.sim.now_ps)
                 trace.count("dmi.crc_drops")
             return None
 
@@ -532,11 +534,12 @@ class HostCommandLayer:
         self.counts.commands_completed += 1
         trace = probe.session
         if trace is not None:
-            # the frame-loop round trip of one command: issue to done
-            trace.complete(
-                "dmi", f"cmd.{pending.command.opcode.value}",
-                pending.issued_ps, self.sim.now_ps, {"tag": tag},
-            )
+            if trace.spans:
+                # the frame-loop round trip of one command: issue to done
+                trace.complete(
+                    "dmi", f"cmd.{pending.command.opcode.value}",
+                    pending.issued_ps, self.sim.now_ps, {"tag": tag},
+                )
             trace.record("dmi.cmd_rtt_ps", self.sim.now_ps - pending.issued_ps)
             jid = pending.command.journey
             if jid is not None:

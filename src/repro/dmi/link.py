@@ -239,7 +239,7 @@ class SerialLink:
         arrival = start + wire_ps + self.latency_ps
         self.counts.frames_sent += 1
         trace = probe.session
-        if trace is not None:
+        if trace is not None and trace.spans:
             # serialization start through delivery: the whole wire transit
             trace.complete("dmi", self._trace_label, start, arrival)
         self.sim.call_at(arrival, self._arrive, sent, wire, key)
@@ -269,7 +269,7 @@ class SerialLink:
         if received != sent:
             self.counts.frames_corrupted += 1
             trace = probe.session
-            if trace is not None:
+            if trace is not None and trace.spans:
                 trace.instant("dmi", f"corrupt:{self.name}", self.sim.now_ps)
         self._deliver(received)
 

@@ -90,7 +90,8 @@ class LinkTrainer:
         if trace is not None:
             # every train() entry is a (re)train of the channel: the first is
             # initial bring-up, later ones are firmware-driven retrains
-            trace.instant("dmi", f"retrain:{channel.name}", start_ps)
+            if trace.spans:
+                trace.instant("dmi", f"retrain:{channel.name}", start_ps)
             trace.count("dmi.trainings_started")
         channel.down_link.resync()
         channel.up_link.resync()
@@ -122,10 +123,11 @@ class LinkTrainer:
         channel.set_frtl(frtl_ps)
         trace = probe.session  # re-fetch: training spans many sim events
         if trace is not None:
-            trace.complete(
-                "dmi", f"train:{channel.name}", start_ps, self.sim.now_ps,
-                {"frtl_ps": frtl_ps, "attempts": attempts_per_phase},
-            )
+            if trace.spans:
+                trace.complete(
+                    "dmi", f"train:{channel.name}", start_ps, self.sim.now_ps,
+                    {"frtl_ps": frtl_ps, "attempts": attempts_per_phase},
+                )
             trace.count("dmi.trainings_completed")
         return TrainingResult(
             frtl_ps=frtl_ps,

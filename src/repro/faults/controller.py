@@ -96,11 +96,12 @@ class FaultController:
         self.report.record_injection(spec, outcome)
         trace = probe.session
         if trace is not None:
-            trace.instant("fault", f"inject:{spec.label}", now, args={
-                "injector": spec.injector,
-                "target": spec.target,
-                "outcome": outcome,
-            })
+            if trace.spans:
+                trace.instant("fault", f"inject:{spec.label}", now, args={
+                    "injector": spec.injector,
+                    "target": spec.target,
+                    "outcome": outcome,
+                })
             trace.count("faults.injected" if outcome == "injected"
                         else "faults.skipped")
             if outcome == "injected":
@@ -132,12 +133,13 @@ class FaultController:
         self.report.record_recovery(spec, outcome)
         trace = probe.session
         if trace is not None:
-            end = window.end_ps if window.end_ps is not None else window.start_ps
-            trace.complete("fault", spec.label, window.start_ps, end, args={
-                "injector": spec.injector,
-                "target": spec.target,
-                "outcome": outcome,
-            })
+            if trace.spans:
+                end = window.end_ps if window.end_ps is not None else window.start_ps
+                trace.complete("fault", spec.label, window.start_ps, end, args={
+                    "injector": spec.injector,
+                    "target": spec.target,
+                    "outcome": outcome,
+                })
             if outcome in ("recovered", "failed", "lost"):
                 trace.count(f"faults.{outcome}")
 

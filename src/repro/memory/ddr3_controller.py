@@ -91,7 +91,7 @@ class MemoryController:
         )
         self.counts.reads_submitted += 1
         trace = probe.session
-        if trace is not None:
+        if trace is not None and trace.spans:
             self._trace_op(trace, done, "rd")
         return done
 
@@ -106,7 +106,7 @@ class MemoryController:
         )
         self.counts.writes_submitted += 1
         trace = probe.session
-        if trace is not None:
+        if trace is not None and trace.spans:
             self._trace_op(trace, done, "wr")
         return done
 

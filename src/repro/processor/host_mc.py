@@ -71,11 +71,12 @@ class HostMemoryController:
                 self.tags.release(tag)
                 trace = probe.session
                 if trace is not None:
-                    # tag acquire through done: includes any tag-window stall
-                    trace.complete(
-                        "processor", f"host.{opcode.value}",
-                        issued_at, self.sim.now_ps, {"addr": addr},
-                    )
+                    if trace.spans:
+                        # tag acquire through done: includes any tag-window stall
+                        trace.complete(
+                            "processor", f"host.{opcode.value}",
+                            issued_at, self.sim.now_ps, {"addr": addr},
+                        )
                     trace.count("processor.commands")
                     trace.record("processor.cmd_ps", self.sim.now_ps - issued_at)
                 if jid is not None:

@@ -54,7 +54,7 @@ def _event_hook(trace, prof) -> Optional[Callable[[int, Callable, tuple], None]]
     tracing or the profiler is on; otherwise one closure that emits the
     event's instant, times its call into ``prof``, or both.
     """
-    trace_events = trace is not None and trace.kernel_events
+    trace_events = trace is not None and trace.kernel_events and trace.spans
     if prof is None and not trace_events:
         return None
 
@@ -124,9 +124,10 @@ class Simulator:
         if until_ps is not None and self.now_ps < until_ps:
             self.now_ps = until_ps
         if trace is not None:
-            trace.complete(
-                "kernel", "run", start_ps, self.now_ps, {"events": executed}
-            )
+            if trace.spans:
+                trace.complete(
+                    "kernel", "run", start_ps, self.now_ps, {"events": executed}
+                )
             trace.count("kernel.runs")
             trace.count("kernel.events", executed)
         return executed
@@ -158,10 +159,11 @@ class Simulator:
                 f"deadlock: event queue empty, signal {signal.name!r} never fired"
             )
         if trace is not None:
-            trace.complete(
-                "kernel", "run_until_signal", start_ps, self.now_ps,
-                {"signal": signal.name, "events": executed},
-            )
+            if trace.spans:
+                trace.complete(
+                    "kernel", "run_until_signal", start_ps, self.now_ps,
+                    {"signal": signal.name, "events": executed},
+                )
             trace.count("kernel.signal_waits")
             trace.count("kernel.events", executed)
         return signal.value

@@ -155,7 +155,7 @@ class BlockDevice:
                 else:
                     counts.writes += 1
                     counts.bytes_written += nbytes
-                if trace is not None:
+                if trace is not None and trace.spans:
                     span = "rd" if op == "read" else "wr"
                     trace.complete(
                         "storage", f"{span}:{self.name}", t0, now,
@@ -163,7 +163,7 @@ class BlockDevice:
                     )
             else:
                 counts.io_failures += 1
-                if trace is not None:
+                if trace is not None and trace.spans:
                     trace.instant("storage", f"io_error:{self.name}", now,
                                   {"op": op, "offset": offset})
             stage_to(now)

@@ -233,7 +233,7 @@ class PmemBlockDevice:
             return "retry"
         self.counts.io_failures += 1
         trace = probe.session
-        if trace is not None:
+        if trace is not None and trace.spans:
             trace.instant("storage", f"io_error:{self.name}", self.sim.now_ps,
                           {"op": op, "offset": offset})
         return StorageError(

@@ -265,7 +265,7 @@ class NvWriteCache:
             if first:
                 self.counts.stalls += 1
                 trace = probe.session
-                if trace is not None:
+                if trace is not None and trace.spans:
                     trace.instant(
                         "storage", f"stall:{self.name}", self.sim.now_ps,
                         {"full_segments": self._full_segments},
@@ -398,7 +398,7 @@ class NvWriteCache:
             self._retire(self.config.segment_bytes)
             self._destage_active = False
             trace = probe.session
-            if trace is not None:
+            if trace is not None and trace.spans:
                 trace.complete(
                     "storage", f"destage:{self.name}",
                     destage_start, self.sim.now_ps,

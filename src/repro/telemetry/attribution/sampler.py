@@ -15,11 +15,16 @@ DMI tag windows, replay buffers, the buffer write cache, memory
 controller queues, DRAM banks, MBS command engines.  They are registered
 per system build (:func:`occupancy_sources`) and recorded as
 ``occupancy.<name>`` histograms, so snapshots report p50/p95/max depth.
+The sampler looks its histograms up once per source set, on the first
+sample after :meth:`~OccupancySampler.set_sources` and in source order,
+and then appends each reading straight to its histogram.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Optional, Tuple
+
+from ..metrics import Histogram
 
 #: default sampling period: 100 ns of simulated time
 DEFAULT_OCCUPANCY_PERIOD_PS = 100_000
@@ -33,30 +38,38 @@ class OccupancySampler:
             raise ValueError("occupancy sampling period must be positive")
         self.period_ps = period_ps
         self.sources: Dict[str, Callable[[], float]] = {}
-        #: (metric name, reader) pairs — names are prefixed once at
-        #: registration, not re-formatted on every sample
-        self._items: list = []
+        #: (histogram, reader) pairs, looked up on the first sample of
+        #: the current source set (None until then)
+        self._items: Optional[List[Tuple[Histogram, Callable[[], float]]]] = None
         self._next_due_ps = 0
 
     def set_sources(self, sources: Dict[str, Callable[[], float]]) -> None:
         """Replace the source set (one system build owns the sampler at a
         time — experiments that build several systems re-register)."""
         self.sources = dict(sources)
-        self._items = [
-            (f"occupancy.{name}", read) for name, read in self.sources.items()
-        ]
+        self._items = None
 
     def maybe_sample(self, trace, now_ps: int) -> bool:
         """Sample every source into ``trace`` if the period has elapsed;
         returns whether a sample was taken.  Call sites are already under
         the ambient probe nil-check, so the disabled cost stays one
         attribute load."""
-        if now_ps < self._next_due_ps or not self._items:
+        if now_ps < self._next_due_ps or not self.sources:
             return False
+        items = self._items
+        if items is None:
+            # made on the first sample, in source order, so a histogram
+            # never reports an empty "count: 0" and the registry keeps
+            # the order the sources were first sampled in
+            histogram = trace.registry.histogram
+            items = self._items = [
+                (histogram(f"occupancy.{name}"), read)
+                for name, read in self.sources.items()
+            ]
         self._next_due_ps = now_ps + self.period_ps
         trace.counts.occupancy_samples += 1
-        for name, read in self._items:
-            trace.record(name, read())
+        for hist, read in items:
+            hist.samples.append(read())
         return True
 
 

@@ -9,14 +9,17 @@ else goes through the ambient session:
     ...
     self.counts.frames_sent += 1
     trace = probe.session
-    if trace is not None:
+    if trace is not None and trace.spans:
         trace.complete("dmi", label, start_ps, end_ps)
 
 ``probe.session`` is ``None`` whenever no :class:`~repro.telemetry.session.
 TraceSession` is active, so the disabled cost at every instrumentation
 site is one module-attribute load and an ``is None`` test — no allocation,
-no call.  Hot inner loops (the kernel's event dispatch) hoist the check
-out of the loop entirely.
+no call.  A span site also tests ``trace.spans`` before it formats a name
+or builds args, so a ``spans=False`` session pays one more attribute
+test there; metrics pushed beside the span stay outside that test.  Hot
+inner loops (the kernel's event dispatch) hoist the check out of the
+loop entirely.
 
 Only one session may be active at a time; sessions activate themselves on
 ``__enter__`` and must deactivate with the same object, which catches

@@ -15,8 +15,9 @@ is active (it is a context manager), instrumented components emit:
   built in, and snapshots read it in place.
 
 A session keeps every span and instant, or, with ``spans=False``, none:
-campaign jobs ship metrics and journeys, so their sessions drop each span
-at one flag test and count nothing for it.
+campaign jobs ship metrics and journeys, so their sessions keep no span.
+Span sites test ``trace.spans`` before they format a name or build an
+args dict, so a ``spans=False`` session costs them one attribute test.
 
 Nothing here touches the simulator: call sites pass ``sim.now_ps``
 explicitly, which keeps this package import-safe from every layer
@@ -117,6 +118,9 @@ class TraceSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         probe.deactivate(self)
         self._closed = True
+        # the sampler's sources read the newest system's queues: drop
+        # them, so a closed session holds no system alive
+        self.occupancy.set_sources({})
         # always leave a final snapshot so artifacts are complete even when
         # the caller never snapshotted explicitly (or the run raised)
         self.snapshot("final")

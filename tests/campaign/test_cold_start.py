@@ -13,6 +13,7 @@ another's.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+if "PYTHONDONTWRITEBYTECODE" in os.environ:
+    # a run told to write no bytecode keeps its subprocesses from it too
+    ENV["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
 
 #: loaded-module report printed by every probe as its last line
 REPORT = (

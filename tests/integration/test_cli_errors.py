@@ -6,6 +6,7 @@ job) before refusing.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+if "PYTHONDONTWRITEBYTECODE" in os.environ:
+    # a run told to write no bytecode keeps its subprocesses from it too
+    ENV["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
 SPEC = str(REPO / "tunespecs" / "buffer_latency.json")
 SCHEDULE = str(REPO / "schedules" / "diurnal.json")
 SUITE = str(REPO / "suites" / "ci_smoke.json")

@@ -1,6 +1,7 @@
 """End-to-end campaign CLI: parallel run, cache re-run, serial parity."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+if "PYTHONDONTWRITEBYTECODE" in os.environ:
+    # a run told to write no bytecode keeps its subprocesses from it too
+    ENV["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
 
 
 def run_cli(script, *args):

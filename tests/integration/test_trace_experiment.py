@@ -1,6 +1,7 @@
 """End-to-end telemetry: a traced experiment produces coherent artifacts."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,10 @@ from repro.report import read_artifact
 from repro.telemetry import TraceSession, final_snapshot
 
 REPO = Path(__file__).resolve().parents[2]
+ENV = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+if "PYTHONDONTWRITEBYTECODE" in os.environ:
+    # a run told to write no bytecode keeps its subprocesses from it too
+    ENV["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
 
 #: spans, instants, and the journey flow chain (s/t/f)
 ALLOWED_PH = {"B", "E", "X", "i", "s", "t", "f"}
@@ -21,8 +26,7 @@ ALLOWED_PH = {"B", "E", "X", "i", "s", "t", "f"}
 def run_script(script, *args):
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *args],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, env=ENV,
     )
 
 

@@ -301,6 +301,23 @@ class TestOccupancySampler:
         assert snap["occupancy.q.count"] == 2
         assert snap["occupancy.q.mean"] == 3
 
+    def test_histograms_made_on_first_sample_in_source_order(self):
+        with TraceSession() as session:
+            sampler = OccupancySampler(period_ps=100)
+            sampler.set_sources({"b": lambda: 1, "a": lambda: 2})
+            # no empty "count: 0" histogram before the first sample
+            assert "occupancy.b" not in session.registry
+            assert sampler.maybe_sample(session, 0)
+            # a new source set reuses a name's histogram and appends one
+            sampler.set_sources({"c": lambda: 3, "a": lambda: 4})
+            assert "occupancy.c" not in session.registry
+            assert sampler.maybe_sample(session, 100)
+        amounts = session.registry.amounts()
+        occupancy = [k for k in amounts if k.startswith("occupancy.")]
+        assert occupancy == ["occupancy.b", "occupancy.a", "occupancy.c",
+                             "occupancy.samples"]
+        assert amounts["occupancy.a"] == [2, 4]
+
     def test_no_sources_means_no_samples(self):
         with TraceSession() as session:
             sampler = OccupancySampler(period_ps=100)

@@ -186,3 +186,13 @@ class TestScope:
             assert first_sent > 0
             assert (session.registry.snapshot()["dmi.frames_sent"]
                     == first_sent + frames_sent(second))
+
+    def test_closed_session_holds_no_system(self):
+        with TraceSession(spans=False) as session:
+            system = ContuttoSystem.build([CardSpec(slot=0, kind="centaur")], seed=0)
+            link = weakref.ref(system.socket.slots[0].channel.down_link)
+        # the session is still referenced; its sampler's sources are not
+        del system
+        gc.collect()
+        assert link() is None
+        assert session.occupancy.sources == {}

@@ -5,8 +5,8 @@ engine and records the wall-clock of each into ``BENCH_campaign.json``
 (schema ``repro.bench/v1``) — the start of the campaign performance
 trajectory:
 
-1. **serial**   — one inline worker, cold cache (the historical
-   ``regenerate_experiments.py`` path);
+1. **serial**   — one worker, the campaign's own process (no pool),
+   cold cache;
 2. **parallel** — a process pool (``min(4, cpu_count)`` workers), cold
    cache; on a multi-core host this is bounded below by the single
    longest job, on a single-core host it degenerates to serial plus

@@ -4,7 +4,7 @@ The ablation probes (``benchmarks/ablations``), the overhead benches and
 the campaign-scaling and kernel-hotspot benches import these.  The paper's
 tables and figures are asserted in tier-1
 (``tests/core/test_experiments.py``) and regenerated by
-``scripts/regenerate_experiments.py``.
+``scripts/run_campaign.py --no-cache``.
 
 Run:  pytest benchmarks --ignore=benchmarks/contutto --benchmark-disable
 """

@@ -2,12 +2,13 @@
 """Run an experiment campaign: parallel, cached, journaled.
 
 The default campaign is the full paper regeneration (every table/figure
-at its EXPERIMENTS.md defaults, seed 0 — byte-identical to the serial
-``regenerate_experiments.py`` path):
+at its EXPERIMENTS.md defaults, seed 0); ``experiments.md`` is
+byte-identical at any ``--jobs`` and cache state:
 
     python scripts/run_campaign.py --jobs 4
     python scripts/run_campaign.py --jobs 2 --only table3 --only table1
     python scripts/run_campaign.py --jobs 4      # again: finish a crashed run
+    python scripts/run_campaign.py --no-cache    # regenerate EXPERIMENTS.md's tables
 
 Custom sweeps come from a JSON matrix file (see docs/campaign.md):
 
@@ -15,7 +16,7 @@ Custom sweeps come from a JSON matrix file (see docs/campaign.md):
 
 The output directory receives:
 
-* ``experiments.md``  — every table, matrix order (the regenerate format);
+* ``experiments.md``  — every table as markdown, matrix order;
 * ``manifest.jsonl``  — the ``repro.campaign/v1`` job journal;
 * ``metrics.jsonl``   — one merged ``repro.telemetry/v1`` artifact
   (per-job snapshots + campaign totals);
@@ -55,7 +56,8 @@ def load_matrix(path: str) -> ScenarioMatrix:
     """Build a ScenarioMatrix from its JSON description.
 
     Raises ConfigurationError for a file that cannot be read, is not
-    JSON, has no ``scenarios`` list or names an unknown experiment.
+    JSON, has no ``scenarios`` list, or names an unknown experiment or an
+    axis its runner does not take.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -60,11 +60,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="always run every job; don't read or write the cache",
     )
     parser.add_argument(
-        "--no-profile", action="store_true",
-        help="skip the sim-kernel profile pass (no kernel_profile.json; "
-             "report.json then has no kernel section)",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-job wall-clock limit in seconds",
     )
@@ -96,7 +91,6 @@ def main(argv=None) -> int:
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         timeout_s=args.timeout,
         retries=args.retries,
-        profile=not args.no_profile,
     )
     try:
         result = runner.run()

@@ -53,7 +53,6 @@ _EXPORTS = {
     "get_experiment": ".registry",
     "job_key": ".cache",
     "job_record": ".manifest",
-    "read_manifest": ".manifest",
     "run_campaign": ".runner",
     "run_experiment": ".runner",
     "tables_of": ".worker",

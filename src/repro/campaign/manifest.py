@@ -92,28 +92,6 @@ class ManifestWriter:
         self.close()
 
 
-def read_manifest(path: str) -> List[dict]:
-    """Every record of a manifest; missing file ⇒ empty, bad lines skipped.
-
-    Tolerating a torn final line matters: a manifest may have been
-    written right up to a crash.
-    """
-    records: List[dict] = []
-    manifest = Path(path)
-    if not manifest.exists():
-        return records
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return records
-
-
 def canonical_manifest(records: List[dict]) -> List[dict]:
     """The deterministic core of a manifest: what a reproducible campaign
     must agree on across runs and worker counts.

@@ -19,12 +19,12 @@ never on expansion order, worker assignment, or how many other scenarios
 the matrix holds, so a sweep's results are bit-identical whether it runs
 serially, on 16 workers, or resumed across three crashes.  A scenario may
 instead pin seeds explicitly with a ``seed=[...]`` axis (the paper matrix
-pins ``seed=0`` — the harness defaults — so campaign output stays
-byte-identical to the historical serial path).
+pins ``seed=0``, the harness defaults).
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -87,10 +87,21 @@ class ScenarioMatrix:
     def add(self, experiment: str, **axes) -> "ScenarioMatrix":
         """Add one scenario; each axis is a value or a list of values.
 
-        Unnamed axes fall back to the experiment's registry defaults.
-        Returns ``self`` for chaining.
+        Unnamed axes fall back to the experiment's registry defaults.  An
+        axis the experiment's runner does not take raises
+        ConfigurationError here, not in every job (naming one imports the
+        runner's module).  Returns ``self`` for chaining.
         """
         spec = get_experiment(experiment)
+        unknown = sorted(set(axes) - set(spec.defaults) - {"seed"})
+        if unknown:
+            params = inspect.signature(spec.runner).parameters
+            for key in unknown:
+                if key not in params:
+                    raise ConfigurationError(
+                        f"{experiment}: its runner takes no axis {key!r} "
+                        f"(it takes: {', '.join(params)})"
+                    )
         merged: Dict[str, List[object]] = {
             k: [v] for k, v in spec.defaults.items()
         }
@@ -113,10 +124,10 @@ class ScenarioMatrix:
     ) -> "ScenarioMatrix":
         """The full paper regeneration: every experiment at its defaults.
 
-        Seeds are pinned (not derived) so the expansion reproduces the
-        historical serial ``regenerate_experiments.py`` output byte for
-        byte.  ``only`` filters by experiment name, preserving
-        EXPERIMENTS.md order regardless of the order names are given in.
+        Seeds are pinned (not derived) to the harness default, so each
+        table is the one its runner gives when called on its own.
+        ``only`` filters by experiment name, preserving EXPERIMENTS.md
+        order regardless of the order names are given in.
         """
         matrix = cls(base_seed=seed)
         selected = set(only) if only else None

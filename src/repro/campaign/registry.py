@@ -2,10 +2,10 @@
 
 One :class:`ExperimentSpec` per paper table/figure, in EXPERIMENTS.md
 section order.  This is the single source of truth for "what can a
-campaign run": ``scripts/run_campaign.py``, ``scripts/
-regenerate_experiments.py``, and ``scripts/trace_experiment.py`` all
-resolve names through it, and worker processes look experiments up here
-by name (a string crosses the process boundary; a closure would not).
+campaign run": ``scripts/run_campaign.py`` and
+``scripts/trace_experiment.py`` both resolve names through it, and
+worker processes look experiments up here by name (a string crosses the
+process boundary; a closure would not).
 
 Every runner accepts ``seed=`` (threaded through to the underlying
 system builds) plus its own size knob, and returns one
@@ -16,6 +16,7 @@ returns the ``(fig9, fig10)`` pair.
 from __future__ import annotations
 
 import importlib
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -138,6 +139,16 @@ def _selftest_sleep(seconds: float = 5.0, seed: int = 0):
     return _selftest_echo(value=0, seed=seed)
 
 
+def _selftest_exit(seed: int = 0):
+    # kills only a pool worker: run in any other process it raises, so it
+    # can never end a campaign that runs its jobs inline
+    from multiprocessing import parent_process
+
+    if parent_process() is None:
+        raise RuntimeError("selftest exit runs only in a pool worker")
+    os._exit(1)
+
+
 _SPECS += [
     ExperimentSpec("_selftest_echo", "repro.campaign.registry:_selftest_echo",
                    {"value": 1}, hidden=True),
@@ -145,6 +156,8 @@ _SPECS += [
                    {}, hidden=True),
     ExperimentSpec("_selftest_sleep", "repro.campaign.registry:_selftest_sleep",
                    {"seconds": 5.0}, hidden=True),
+    ExperimentSpec("_selftest_exit", "repro.campaign.registry:_selftest_exit",
+                   {}, hidden=True),
 ]
 
 REGISTRY: Dict[str, ExperimentSpec] = {spec.name: spec for spec in _SPECS}

@@ -1,20 +1,24 @@
 """The campaign scheduler: parallel, cached, fault-tolerant execution.
 
 :class:`CampaignRunner` drives a list of :class:`CampaignJob`s to
-completion:
+completion through one scheduling loop:
 
-* **parallel** — jobs run on a ``ProcessPoolExecutor`` (``workers > 1``)
-  or inline (``workers == 1``, no pickling, no pool spin-up — the mode
-  ``regenerate_experiments.py`` uses);
+* **parallel** — a job is handed out only when a worker is free: to a
+  ``ProcessPoolExecutor`` (``workers > 1``), or to this process
+  (``workers == 1``: no pool, no pickling; the job runs as it is handed
+  out).  Jobs go out in list order, retries after the jobs not yet
+  started;
 * **cached** — with a :class:`~repro.campaign.cache.ResultCache`, a job
   whose ``(experiment, kwargs, seed, code fingerprint)`` already has a
   stored result is served without running;
 * **fault-tolerant** — a failing job is retried up to ``retries`` times
   with exponential backoff, then recorded with its traceback; the rest
-  of the campaign completes regardless.  A job that runs past the
-  per-job ``timeout_s`` is failed the same way on both paths — neither
-  can preempt a running job: the pool abandons its worker to finish in
-  the background, and the inline path judges the job when it returns;
+  of the campaign completes regardless.  One rule holds at any worker
+  count: a job's ``timeout_s`` clock starts when a worker starts it, and
+  the attempt fails if it is still running at its deadline or returns a
+  payload that ran longer.  No job is preempted: a timed-out job keeps
+  its worker until it returns, and its payload is dropped.  A worker
+  that dies fails the jobs it held, which retry on a fresh pool;
 * **journaled** — every completion is recorded in a JSONL manifest.
   Re-running a campaign with the same cache is how an interrupted one
   finishes: what succeeded replays from the cache, the rest runs.
@@ -27,7 +31,8 @@ cannot change any table's values.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -48,6 +53,12 @@ from .manifest import ManifestWriter, campaign_record, job_record
 from .matrix import CampaignJob
 from .registry import get_experiment
 from .worker import execute_job, run_job, tables_of
+
+#: seconds a failed job waits before its first retry; each further
+#: retry waits twice as long
+BACKOFF_S = 0.25
+#: seconds between the loop's checks of deadlines and backoffs
+POLL_S = 0.05
 
 
 @dataclass
@@ -128,7 +139,7 @@ class CampaignReport:
 
     def markdown(self) -> str:
         """Every table as markdown, matrix order: the ``experiments.md``
-        (and ``regenerate_experiments.py``) format."""
+        format."""
         return "\n\n".join(t.to_markdown() for t in self.tables()) + "\n"
 
     def write_artifacts(self, out_dir, params: dict, name: str = "campaign") -> None:
@@ -169,6 +180,25 @@ class CampaignReport:
         write_jsonl(out_dir / "attribution.jsonl", records)
 
 
+def _failure(error: str, duration_s: float) -> dict:
+    """The payload of an attempt that failed outside its job's code."""
+    return {"status": "failed", "error": error, "traceback": None, "duration_s": duration_s}
+
+
+class _InlineExecutor(Executor):
+    """The one worker of a ``workers == 1`` campaign: this process.
+
+    ``submit`` runs the call before it returns and hands back a finished
+    future, so no job is pickled and no pool starts.  (Its one call,
+    :func:`~repro.campaign.worker.execute_job`, never raises.)
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class CampaignRunner:
     """Schedule jobs across workers with caching, retries, and a manifest."""
 
@@ -180,7 +210,6 @@ class CampaignRunner:
         manifest_path: Optional[str] = None,
         timeout_s: Optional[float] = None,
         retries: int = 1,
-        backoff_s: float = 0.25,
         base_seed: int = 0,
     ):
         if workers < 1:
@@ -195,7 +224,6 @@ class CampaignRunner:
         self.manifest_path = manifest_path
         self.timeout_s = timeout_s
         self.retries = retries
-        self.backoff_s = backoff_s
         self.base_seed = base_seed
 
     # -- execution ----------------------------------------------------------
@@ -220,11 +248,7 @@ class CampaignRunner:
                     to_run.append(job)
 
             if to_run:
-                if self.workers == 1:
-                    executed = self._run_inline(to_run, manifest)
-                else:
-                    executed = self._run_pool(to_run, manifest)
-                outcomes.update(executed)
+                outcomes.update(self._run_jobs(to_run, manifest))
         finally:
             if manifest is not None:
                 manifest.close()
@@ -243,117 +267,89 @@ class CampaignRunner:
             return None
         return JobOutcome(job, "cache", entry)
 
-    # -- serial path --------------------------------------------------------
+    # -- the scheduling loop ------------------------------------------------
 
-    def _run_inline(self, jobs: List[CampaignJob], manifest) -> Dict[CampaignJob, JobOutcome]:
-        outcomes = {}
-        for job in jobs:
-            attempt = 0
-            while True:
-                attempt += 1
-                payload = execute_job((job.experiment, job.kwargs, job.seed))
-                if self.timeout_s and payload["duration_s"] > self.timeout_s:
-                    payload = self._timed_out()
-                if payload["status"] == "ok" or attempt > self.retries:
-                    break
-                time.sleep(self._backoff(attempt))
+    def _executor(self) -> Executor:
+        if self.workers == 1:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(max_workers=self.workers)
+
+    def _run_jobs(self, jobs: List[CampaignJob], manifest) -> Dict[CampaignJob, JobOutcome]:
+        outcomes: Dict[CampaignJob, JobOutcome] = {}
+        queue: List[tuple] = [(job, 1, 0.0) for job in jobs]  # (job, attempt, not_before)
+        running: Dict[Future, tuple] = {}  # future -> (job, attempt, deadline)
+        abandoned = set()  # timed-out futures, each still holding its worker
+
+        def settle(job: CampaignJob, attempt: int, payload: dict) -> None:
+            if self.timeout_s and payload["duration_s"] > self.timeout_s:
+                payload = self._timed_out()
+            if payload["status"] == "failed" and attempt <= self.retries:
+                not_before = time.monotonic() + BACKOFF_S * 2 ** (attempt - 1)
+                queue.append((job, attempt + 1, not_before))
+                return
             outcome = self._finish(job, payload, attempt)
             outcomes[job] = outcome
             self._journal(manifest, outcome)
-        return outcomes
 
-    # -- parallel path ------------------------------------------------------
-
-    def _run_pool(self, jobs: List[CampaignJob], manifest) -> Dict[CampaignJob, JobOutcome]:
-        outcomes: Dict[CampaignJob, JobOutcome] = {}
-        queue: List[tuple] = [(job, 1, 0.0) for job in jobs]  # (job, attempt, not_before)
-        pending: Dict[object, tuple] = {}  # future -> (job, attempt, deadline)
-        # import every runner's module before the pool forks: the workers
+        # import every runner's module before a pool forks: the workers
         # inherit them instead of each importing its own copy
         for name in sorted({job.experiment for job in jobs}):
             try:
                 get_experiment(name).runner
             except ConfigurationError:  # unknown name: its jobs fail when run
                 pass
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        abandoned = False
+        executor = self._executor()
         try:
-            while queue or pending:
+            while queue or running:
+                # hand ready jobs to free workers; a job's deadline starts here
                 now = time.monotonic()
-                still_waiting = []
-                for job, attempt, not_before in queue:
-                    if now >= not_before:
-                        future = pool.submit(
-                            execute_job, (job.experiment, job.kwargs, job.seed)
-                        )
-                        deadline = now + self.timeout_s if self.timeout_s else None
-                        pending[future] = (job, attempt, deadline)
-                    else:
-                        still_waiting.append((job, attempt, not_before))
-                queue = still_waiting
+                free = self.workers - len(running) - len(abandoned)
+                for item in [item for item in queue if item[2] <= now][:free]:
+                    queue.remove(item)
+                    job, attempt, _ = item
+                    message = (job.experiment, job.kwargs, job.seed)
+                    deadline = now + self.timeout_s if self.timeout_s else None
+                    try:
+                        future = executor.submit(execute_job, message)
+                    except BrokenProcessPool:  # a worker died: use a fresh pool
+                        executor.shutdown()
+                        executor = self._executor()
+                        future = executor.submit(execute_job, message)
+                    running[future] = (job, attempt, deadline)
 
-                if not pending:
-                    time.sleep(min(self.backoff_s, 0.05))
+                busy = [*running, *abandoned]
+                if not busy:  # every job left is waiting out a backoff
+                    time.sleep(POLL_S)
                     continue
-
-                done, _ = wait(pending, timeout=0.05, return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-
-                for future in done:
-                    job, attempt, _ = pending.pop(future)
+                done, _ = wait(busy, timeout=POLL_S, return_when=FIRST_COMPLETED)
+                abandoned -= done
+                for future in done & running.keys():
+                    job, attempt, _ = running.pop(future)
                     exc = future.exception()
-                    if exc is not None:
-                        # worker death (BrokenProcessPool) or payload
-                        # pickling trouble — treat like any job failure
-                        payload = {
-                            "status": "failed",
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "traceback": None,
-                            "duration_s": 0.0,
-                        }
-                    else:
-                        payload = future.result()
-                    if payload["status"] == "failed" and attempt <= self.retries:
-                        queue.append((job, attempt + 1, now + self._backoff(attempt)))
-                        continue
-                    outcome = self._finish(job, payload, attempt)
-                    outcomes[job] = outcome
-                    self._journal(manifest, outcome)
+                    # a worker that died (BrokenProcessPool) or a payload
+                    # that failed to pickle fails the attempt
+                    settle(job, attempt, future.result() if exc is None else
+                           _failure(f"{type(exc).__name__}: {exc}", 0.0))
 
-                # enforce per-job deadlines; a running task cannot be
-                # preempted, so the job is recorded failed (or requeued)
-                # and its worker abandoned to drain in the background
-                for future, (job, attempt, deadline) in list(pending.items()):
-                    if deadline is None or now <= deadline:
-                        continue
-                    pending.pop(future)
-                    if not future.cancel():
-                        abandoned = True
-                    if attempt <= self.retries:
-                        queue.append((job, attempt + 1, now + self._backoff(attempt)))
-                    else:
-                        outcome = self._finish(job, self._timed_out(), attempt)
-                        outcomes[job] = outcome
-                        self._journal(manifest, outcome)
+                # a running job cannot be preempted: past its deadline it
+                # fails (or retries) and keeps its worker until it returns
+                now = time.monotonic()
+                for future, (job, attempt, deadline) in list(running.items()):
+                    if deadline is not None and now > deadline:
+                        del running[future]
+                        abandoned.add(future)
+                        settle(job, attempt, self._timed_out())
         finally:
-            # don't block campaign completion on an abandoned (timed-out)
-            # worker; its process drains in the background
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            # don't block the campaign on an abandoned worker; it drains
+            # in the background
+            executor.shutdown(wait=not abandoned, cancel_futures=True)
         return outcomes
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _backoff(self, attempt: int) -> float:
-        return self.backoff_s * (2 ** (attempt - 1))
-
     def _timed_out(self) -> dict:
         """The failed payload of a job that ran past ``timeout_s``."""
-        return {
-            "status": "failed",
-            "error": f"TimeoutError: exceeded {self.timeout_s}s",
-            "traceback": None,
-            "duration_s": self.timeout_s,
-        }
+        return _failure(f"TimeoutError: exceeded {self.timeout_s}s", self.timeout_s)
 
     def _finish(self, job: CampaignJob, payload: dict, attempts: int) -> JobOutcome:
         outcome = JobOutcome(job, "run", payload, attempts)

@@ -76,7 +76,6 @@ class SuiteRunner:
         cache=None,
         timeout_s: Optional[float] = None,
         retries: int = 1,
-        profile: bool = True,
     ) -> None:
         self.spec = spec
         self.out_dir = Path(out_dir)
@@ -84,7 +83,6 @@ class SuiteRunner:
         self.cache = cache
         self.timeout_s = timeout_s
         self.retries = retries
-        self.profile = profile
 
     def run(self) -> SuiteResult:
         """Run all sections; build the report only when every job passed.
@@ -105,10 +103,7 @@ class SuiteRunner:
         for entry in spec.tunes:
             failures.extend(self._run_tune(entry))
 
-        profile_record = None
-        if self.profile:
-            profile_record = self._run_profile_pass()
-
+        profile_record = self._run_profile_pass()
         result = SuiteResult(spec, self.out_dir, failures=failures,
                              profile=profile_record)
         if not failures:

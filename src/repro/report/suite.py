@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..campaign import ALIASES, ScenarioMatrix, experiment_names, get_experiment
+from ..campaign import ALIASES, ScenarioMatrix, experiment_names
 from ..errors import ConfigurationError
 from ..service import ArrivalSchedule
 from ..tune import TuneSpec
@@ -302,7 +302,8 @@ def _campaign_entry(entry: dict, base: Optional[Path]) -> CampaignEntry:
                 raise ConfigurationError(
                     f"campaign {name!r}: each scenario needs an 'experiment'"
                 )
-            get_experiment(scenario["experiment"])  # raises on unknown
+            # raises on an unknown experiment or axis
+            ScenarioMatrix().add(scenario["experiment"], **scenario.get("axes", {}))
     return CampaignEntry(
         name=name,
         only=only,

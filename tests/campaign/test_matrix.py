@@ -58,6 +58,11 @@ class TestExpansion:
         with pytest.raises(ConfigurationError):
             ScenarioMatrix().add("table99")
 
+    def test_axis_the_runner_does_not_take_rejected(self):
+        # refused as the matrix is built, not as each job fails
+        with pytest.raises(ConfigurationError, match="no axis 'sample'"):
+            ScenarioMatrix().add("table3", sample=[4])
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioMatrix().add("table3", samples=[])

@@ -19,7 +19,6 @@ from repro.campaign import (
     ResultCache,
     ScenarioMatrix,
     execute_job,
-    read_manifest,
     run_campaign,
     run_experiment,
 )
@@ -96,14 +95,13 @@ class TestExecution:
     def test_bounded_retry_with_backoff(self):
         matrix = ScenarioMatrix()
         matrix.add("_selftest_fail")
-        report = CampaignRunner(
-            matrix.expand(), workers=2, retries=2, backoff_s=0.01
-        ).run()
-        assert report.failed[0].attempts == 3
+        for workers in (1, 2):
+            report = CampaignRunner(matrix.expand(), workers=workers, retries=2).run()
+            assert report.failed[0].attempts == 3, workers
 
     def test_timeout_marks_job_failed(self):
-        # one rule on both paths: the pool abandons the stuck worker, the
-        # inline path judges the job's duration when it returns
+        # one rule at any worker count: the pool abandons the stuck
+        # worker, in-process the job's duration is judged when it returns
         matrix = echo_matrix([1])
         matrix.add("_selftest_sleep", seconds=2.0)
         for workers in (2, 1):
@@ -114,6 +112,37 @@ class TestExecution:
             (failed,) = report.failed
             assert failed.job.experiment == "_selftest_sleep"
             assert "TimeoutError" in failed.error
+
+    def test_queued_jobs_start_their_clock_when_they_start(self):
+        # four jobs of ~60% of the timeout each: on two workers the last
+        # two wait for the first two, and that wait is not their run time
+        matrix = ScenarioMatrix()
+        matrix.add("_selftest_sleep", seconds=[0.6, 0.601, 0.602, 0.603])
+        for workers in (1, 2):
+            report = CampaignRunner(
+                matrix.expand(), workers=workers, retries=0, timeout_s=1.0
+            ).run()
+            assert [o.error for o in report.failed] == [], workers
+            assert len(report.succeeded) == 4
+
+    def test_timed_out_job_keeps_its_worker(self):
+        # the 3 s job is abandoned at 1 s but holds its worker, so the
+        # last 0.7 s job starts only when the other worker frees (at
+        # ~1.4 s); handed out at the abandonment, it would time out queued
+        matrix = ScenarioMatrix()
+        matrix.add("_selftest_sleep", seconds=[3.0, 0.7, 0.701, 0.702])
+        report = CampaignRunner(matrix.expand(), workers=2, retries=0, timeout_s=1.0).run()
+        assert [(o.job.kwargs_dict["seconds"], o.error) for o in report.failed] == [
+            (3.0, "TimeoutError: exceeded 1.0s")]
+
+    def test_dead_worker_fails_its_job_not_the_campaign(self):
+        # the retry runs on a fresh pool, where the worker dies again
+        matrix = ScenarioMatrix()
+        matrix.add("_selftest_exit")
+        report = CampaignRunner(matrix.expand(), workers=2, retries=1).run()
+        (failed,) = report.failed
+        assert failed.error.startswith("BrokenProcessPool")
+        assert failed.attempts == 2
 
     def test_validates_configuration(self):
         with pytest.raises(ValueError):
@@ -152,7 +181,7 @@ class TestManifestAndResume:
             cache=ResultCache(tmp_path / "cache"),
             manifest_path=str(manifest),
         ).run()
-        records = read_manifest(str(manifest))
+        records, _ = read_artifact(manifest)
         assert records[0]["kind"] == "campaign"
         jobs = [r for r in records if r["kind"] == "job"]
         assert len(jobs) == 3
@@ -186,7 +215,7 @@ class TestManifestAndResume:
         sources = {o.job.job_id: o.source for o in report.outcomes}
         assert sources[jobs[0].job_id] == "cache"   # replayed, not re-run
         assert sources[jobs[1].job_id] == "run"     # actually re-executed
-        records = read_manifest(str(manifest))
+        records, _ = read_artifact(manifest)
         # each run writes its own manifest: one header, one record per job
         assert [r["kind"] for r in records] == ["campaign", "job", "job"]
         assert [r["source"] for r in records[1:]] == ["cache", "run"]

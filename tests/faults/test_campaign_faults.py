@@ -10,7 +10,6 @@ from repro.campaign import (
     canonical_manifest,
     execute_job,
     get_experiment,
-    read_manifest,
     run_campaign,
 )
 from repro.faults import FaultPlan, FaultSpec
@@ -62,9 +61,9 @@ class TestWorkerCountInvariance:
         b = (parallel / "attribution.jsonl").read_bytes()
         assert a == b
         assert canonical_manifest(
-            read_manifest(str(serial / "manifest.jsonl"))
+            read_artifact(serial / "manifest.jsonl")[0]
         ) == canonical_manifest(
-            read_manifest(str(parallel / "manifest.jsonl"))
+            read_artifact(parallel / "manifest.jsonl")[0]
         )
 
     def test_artifact_carries_every_job_fault_window(self, tmp_path):

@@ -34,6 +34,7 @@ FILES = {
     "not-json.json": "{",
     "no-scenarios.json": '{"base_seed": 0}',
     "unknown-experiment.json": '{"scenarios": [{"experiment": "table99"}]}',
+    "unknown-axis.json": '{"scenarios": [{"experiment": "table3", "axes": {"sample": [4]}}]}',
     "unknown-class.json": unknown_class_schedule(),
 }
 
@@ -45,7 +46,6 @@ CASES = {
     "chaos-missing-plan": ["run_chaos.py", "--plan", "missing.json"],
     "campaign-jobs-0": ["run_campaign.py", "--jobs", "0"],
     "tune-jobs-0": ["run_tune.py", SPEC, "--jobs", "0"],
-    "regenerate-jobs-0": ["regenerate_experiments.py", "--jobs", "0"],
     "suite-jobs-0": ["run_suite.py", SUITE, "--jobs", "0"],
     "service-calib-samples-0": ["run_service.py", "--schedule", SCHEDULE,
                                 "--calib-samples", "0"],
@@ -60,6 +60,8 @@ CASES = {
                                      "no-scenarios.json"],
     "campaign-matrix-unknown-experiment": ["run_campaign.py", "--matrix",
                                            "unknown-experiment.json"],
+    "campaign-matrix-unknown-axis": ["run_campaign.py", "--no-cache", "--matrix",
+                                     "unknown-axis.json"],
     "campaign-timeout-negative": ["run_campaign.py", "--timeout", "-1"],
     "campaign-timeout-0": ["run_campaign.py", "--timeout", "0"],
     "tune-timeout-negative": ["run_tune.py", SPEC, "--timeout", "-1"],

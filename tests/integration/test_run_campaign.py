@@ -67,14 +67,15 @@ class TestCampaignCli:
         assert first == (out2 / "experiments.md").read_text()
         assert first.count("###") == 2  # one block per table
 
-    def test_matches_serial_regenerate_byte_for_byte(self, campaign_dirs, tmp_path):
+    def test_serial_run_matches_parallel_byte_for_byte(self, campaign_dirs, tmp_path):
         out1, _ = campaign_dirs
-        serial = tmp_path / "serial.md"
+        serial = tmp_path / "serial"
         run_cli(
-            "regenerate_experiments.py", "--only", "table3", "--only", "table1",
-            "--out", str(serial),
+            "run_campaign.py", "--jobs", "1", "--no-cache", "--only", "table3",
+            "--only", "table1", "--out", str(serial),
         )
-        assert serial.read_text() == (out1 / "experiments.md").read_text()
+        assert (serial / "experiments.md").read_bytes() == (
+            out1 / "experiments.md").read_bytes()
 
     def test_telemetry_artifact_merges_jobs(self, campaign_dirs):
         out1, _ = campaign_dirs

@@ -109,6 +109,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="unknown experiments"):
             SuiteSpec.from_dict(bad)
 
+    def test_unknown_axis_rejected(self):
+        # checked as the spec loads, before the run makes any directory
+        bad = spec_dict()
+        bad["campaigns"][0]["scenarios"][0]["axes"] = {"sample": [6]}
+        with pytest.raises(ConfigurationError, match="no axis 'sample'"):
+            SuiteSpec.from_dict(bad)
+
     def test_campaign_attribution_field_rejected(self):
         # a campaign has one attribution form; the old switch is refused
         # by name rather than silently ignored

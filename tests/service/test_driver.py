@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import ResultCache, read_manifest
+from repro.campaign import ResultCache
+from repro.report import read_artifact
 from repro.service import ArrivalSchedule, Phase, ServiceDriver, Tenant
 
 REPO = Path(__file__).resolve().parents[2]
@@ -54,7 +55,7 @@ def test_run_is_one_job_and_a_warm_rerun_replays_it(tmp_path):
         ).run()
         assert not result.failed
         assert {row["repetition"] for row in result.rows} == {0, 1, 2}
-        jobs = [r for r in read_manifest(out / "manifest.jsonl")
+        jobs = [r for r in read_artifact(out / "manifest.jsonl")[0]
                 if r["kind"] == "job"]
         assert len(jobs) == 1
         assert jobs[0]["experiment"] == "service_calibrate"
